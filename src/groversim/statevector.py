@@ -6,8 +6,10 @@ amplitudes) followed by diffusion (reflection of every amplitude about the
 mean, "inversion about average"). Both kernels are two-pass O(N); the N x N
 diffusion matrix is never materialised.
 
-All operations are pure: they return fresh ``StateVector`` values and never
-mutate their input, so states can be shared freely across threads.
+Invariants are checked when a state is built from caller input; the kernels,
+two reflections, keep them by construction. Operations never mutate their
+input (``grover_iterate`` works in place on one private copy), so states can
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ NORM_TOL = 1e-12
 class StateVector:
     """Real amplitude vector with an immutable marked-index set.
 
-    Invariants, checked at construction: the amplitudes are a 1-D float64
-    vector with unit sum of squares (within ``NORM_TOL``), and the marked set
-    is a non-empty proper subset of the index range.
+    Invariants, checked when built from caller input and kept by the kernels:
+    1-D float64 amplitudes with unit sum of squares (within ``NORM_TOL``), and
+    a marked set that is a non-empty proper subset of the index range.
     """
 
     __slots__ = ("amplitudes", "marked", "_marked_idx")
@@ -50,6 +52,12 @@ class StateVector:
         self.marked = marked_set
         self._marked_idx = np.sort(np.fromiter(marked_set, dtype=np.intp, count=len(marked_set)))
 
+    def _derive(self, amplitudes: np.ndarray) -> StateVector:
+        """A state on this state's marked set, built without the checks."""
+        state = object.__new__(StateVector)
+        state.amplitudes, state.marked, state._marked_idx = amplitudes, self.marked, self._marked_idx
+        return state
+
     @property
     def n_total(self) -> int:
         return self.amplitudes.size
@@ -68,43 +76,48 @@ def init_uniform(params: SearchParams, marked) -> StateVector:
     ``marked`` must contain exactly ``params.n2`` distinct indices in
     ``[0, n_total)``.
     """
-    marked_set = frozenset(int(i) for i in marked)
-    if len(marked_set) != params.n2:
-        raise ValueError(
-            f"marked set has {len(marked_set)} indices, expected n2={params.n2}"
-        )
     n = params.n_total
-    amps = np.full(n, 1.0 / math.sqrt(n))
-    return StateVector(amps, marked_set)
+    state = StateVector(np.full(n, 1.0 / math.sqrt(n)), marked)
+    if len(state.marked) != params.n2:
+        raise ValueError(f"marked set has {len(state.marked)} indices, expected n2={params.n2}")
+    return state
+
+
+def _flip_marked(amps: np.ndarray, marked_idx: np.ndarray) -> None:
+    """Oracle step, in place: negate the marked amplitudes."""
+    amps[marked_idx] = -amps[marked_idx]
+
+
+def _reflect_about_mean(amps: np.ndarray) -> None:
+    """Diffusion step, in place: c_i -> 2*A - c_i. numpy's pairwise mean keeps
+    the conservation error near one ulp per element even at N = 2**20, where a
+    naive left-to-right sum would not meet the 1e-12 conservation budget."""
+    np.subtract(2.0 * float(amps.mean()), amps, out=amps)
 
 
 def apply_oracle(state: StateVector) -> StateVector:
     """Flip the sign of every marked amplitude; an exact involution."""
     out = state.amplitudes.copy()
-    out[state._marked_idx] = -out[state._marked_idx]
-    return StateVector(out, state.marked)
+    _flip_marked(out, state._marked_idx)
+    return state._derive(out)
 
 
 def apply_diffusion(state: StateVector) -> StateVector:
-    """Reflect each amplitude about the mean: c_i -> 2*A - c_i.
-
-    Preserves both the amplitude sum and the norm. The mean is taken with
-    numpy's pairwise reduction, which keeps the conservation error near one
-    ulp per element even at N = 2**20; a naive left-to-right accumulation
-    would not meet the 1e-12 conservation budget at that size.
-    """
-    amps = state.amplitudes
-    mean = float(amps.mean())
-    return StateVector(2.0 * mean - amps, state.marked)
+    """Reflect each amplitude about the mean; preserves the sum and the norm."""
+    out = state.amplitudes.copy()
+    _reflect_about_mean(out)
+    return state._derive(out)
 
 
 def grover_iterate(state: StateVector, count: int) -> StateVector:
     """Apply ``count`` full iterations (oracle, then diffusion)."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    amps = state.amplitudes.copy()
     for _ in range(count):
-        state = apply_diffusion(apply_oracle(state))
-    return state
+        _flip_marked(amps, state._marked_idx)
+        _reflect_about_mean(amps)
+    return state._derive(amps)
 
 
 def marked_probability(state: StateVector) -> float:
@@ -127,4 +140,4 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> list[int]:
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     picks = np.searchsorted(cdf, rng.random(draws), side="right")
-    return [int(i) for i in picks]
+    return picks.tolist()

@@ -27,8 +27,6 @@ from .params import RegimeWarning, SearchParams
 THETA_EXACT = "exact"
 THETA_APPROX = "paper"
 
-_POWER_IMAG_TOL = 1e-13
-
 
 @dataclass(frozen=True)
 class TwoLevelState:
@@ -114,27 +112,16 @@ def spectral_decompose(params: SearchParams) -> Spectral:
 
 
 def matrix_power(params: SearchParams, n: int) -> np.ndarray:
-    """T**n through the spectral form S diag(lam+**n, lam-**n) S^-1.
-
-    Since lam+/- = exp(+/- 2i*theta) exactly, the diagonal powers are
-    exp(+/- 2in*theta). The 2x2 products are unrolled; the imaginary parts
-    must cancel below ``_POWER_IMAG_TOL`` (a residue above that indicates a
-    sign error in S or S^-1) and are discarded after the check.
-    """
+    """T**n = [[cos phi, -sin phi / rho], [rho * sin phi, cos phi]], with phi = 2n*theta
+    and rho = sqrt(n1/n2): S diag(lam+**n, lam-**n) S^-1 multiplied out, as
+    lam+/- = exp(+/- 2i*theta) exactly."""
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"power must be >= 0, got {n}")
     phi = 2.0 * n * rotation_angle(params)
-    lam_pow = complex(math.cos(phi), math.sin(phi))
-    conj = lam_pow.conjugate()
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     rho = math.sqrt(params.n1 / params.n2)
-    e00 = 0.5 * (lam_pow + conj)
-    e01 = (0.5j / rho) * (lam_pow - conj)
-    e10 = (0.5j * rho) * (conj - lam_pow)
-    residue = max(abs(e00.imag), abs(e01.imag), abs(e10.imag))
-    if residue > _POWER_IMAG_TOL:
-        raise ArithmeticError(f"imaginary residue {residue!r} in matrix power")
-    return np.array([[e00.real, e01.real], [e10.real, e00.real]])
+    return np.array([[cos_phi, -sin_phi / rho], [rho * sin_phi, cos_phi]])
 
 
 def closed_form(params: SearchParams, n: int, theta_mode: str = THETA_EXACT) -> TwoLevelState:

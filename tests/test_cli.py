@@ -30,6 +30,12 @@ def test_search_with_draws_appends_sample_comments(capsys):
     assert "# sample index=0 count=100" in out
 
 
+def test_search_with_draws_at_the_statevector_cap(capsys):
+    code, out, err = run_cli(capsys, "search", "--log2-n", "20", "--draws", "10")
+    assert code == 0, err
+    assert "# sample_draws=10 " in out
+
+
 def test_collide_writes_file(tmp_path, capsys):
     out_path = tmp_path / "collide.csv"
     code, out, _ = run_cli(
@@ -52,6 +58,15 @@ def test_compare_appends_report_comments(capsys):
     assert code == 0
     assert "# max_velocity_residual=" in out
     assert "# statevector_included=true" in out
+
+
+def test_compare_at_the_statevector_cap_meets_the_residual_bound(capsys):
+    code, out, err = run_cli(capsys, "compare", "--log2-n", "20")
+    assert code == 0, err
+    assert "# statevector_included=true" in out
+    residuals = [float(line.split("=", 1)[1]) for line in out.splitlines() if line.startswith("# max_")]
+    assert len(residuals) == 3
+    assert max(residuals) <= 1e-9  # the bound of acceptance criterion 04
 
 
 def test_compare_flags_skipped_statevector(capsys):

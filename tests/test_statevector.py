@@ -12,10 +12,12 @@ from groversim import (
     StateVector,
     apply_diffusion,
     apply_oracle,
+    closed_form,
     grover_iterate,
     init_uniform,
     marked_probability,
     measure_sample,
+    optimal_iterations,
 )
 
 
@@ -165,6 +167,15 @@ def test_diffusion_is_an_involution(shape):
     assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-12, rtol=0)
 
 
+@given(state_shapes)
+def test_diffusion_and_iterate_leave_input_untouched(shape):
+    state = random_state(*shape)
+    before = state.amplitudes.tolist()
+    apply_diffusion(state)
+    grover_iterate(state, 3)
+    assert state.amplitudes.tolist() == before
+
+
 # --- iteration --------------------------------------------------------------
 
 def test_iterate_zero_is_identity():
@@ -191,6 +202,20 @@ def test_two_iterations_n8_reach_eleven_quarters():
     assert state.amplitudes[0] == pytest.approx((-1 / 4) / sqrt(8), abs=1e-15)
     brute = brute_iterate([1 / sqrt(8)] * 8, {7}, 2)
     assert np.allclose(state.amplitudes, brute, atol=1e-14, rtol=0)
+
+
+def test_iterate_runs_to_the_optimum_at_two_to_the_twenty():
+    """804 iterations at N = 2**20: rounding drift over the run stays far
+    below the tolerances, and no construction-time check cuts it short."""
+    params = SearchParams(2**20 - 1, 1)
+    n0 = optimal_iterations(params)
+    assert n0 == 804
+    state = grover_iterate(init_uniform(params, {12345}), n0)
+    a, b = float(state.amplitudes[0]), float(state.amplitudes[12345])
+    assert abs(params.n1 * a * a + params.n2 * b * b - 1.0) <= 1e-10
+    expected = closed_form(params, n0)
+    assert abs(a - expected.a) <= 1e-9
+    assert abs(b - expected.b) <= 1e-9
 
 
 @given(
