@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .collisions import center_of_mass_velocity, from_params, iterate, obstacle_bounce
 from .params import SearchParams
-from .statevector import apply_diffusion, apply_oracle, init_uniform, marked_probability
+from .statevector import _reflect_about_mean, apply_oracle, init_uniform, marked_probability
 from .twolevel import TwoLevelState, step, uniform_state
 
 DEFAULT_STATEVECTOR_CAP = 2**20
@@ -95,10 +95,8 @@ def verify_analogy(
         mean_two = (params.n1 * two.a - n2 * two.b) / n_total
         center_res = max(center_res, abs(v_c - scale * mean_two))
         if use_statevector:
-            oracle_state = apply_oracle(sv)
-            mean_sv = float(oracle_state.amplitudes.mean())
+            sv, mean_sv = _reflect_about_mean(apply_oracle(sv))
             center_res = max(center_res, abs(v_c - scale * mean_sv))
-            sv = apply_diffusion(oracle_state)
 
         two = step(two, params)
         system, record = iterate(system)

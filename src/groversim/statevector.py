@@ -3,13 +3,17 @@
 The state is a length-N vector of real amplitudes plus the set of marked
 indices. One iteration applies the oracle (sign flip on the marked
 amplitudes) followed by diffusion (reflection of every amplitude about the
-mean, "inversion about average"). Both kernels are two-pass O(N); the N x N
-diffusion matrix is never materialised.
+mean, "inversion about average"). ``apply_oracle`` and ``apply_diffusion``
+are the full-vector kernels, each O(N); the N x N diffusion matrix is never
+materialised.
 
-Invariants are checked when a state is built from caller input; the kernels,
-two reflections, keep them by construction. Operations never mutate their
-input (``grover_iterate`` works in place on one private copy), so states can
-be shared freely across threads.
+``grover_iterate`` does not loop over them: it works in the two-dimensional
+invariant subspace spanned by the unmarked and marked means, so ``count``
+iterations of any state cost O(N + n2 + count), not O(count * N).
+
+Invariants are checked when a state is built from caller input; the
+kernels, two reflections, keep them by construction. Operations never mutate
+their input, so states can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -21,6 +25,19 @@ import numpy as np
 from .params import SearchParams
 
 NORM_TOL = 1e-12
+_SQUARES_BLOCK = 256
+
+
+def _sum_of_squares(x: np.ndarray) -> float:
+    """Sum of x*x without a BLAS dot product, which runs on OpenBLAS's thread
+    pool and stalls when another process holds a core. einsum sums blocks of
+    ``_SQUARES_BLOCK`` products and numpy's pairwise sum adds the block
+    totals, which keeps the result within a few ulps of the exact sum and
+    allocates only N/_SQUARES_BLOCK partial sums."""
+    cut = x.size - x.size % _SQUARES_BLOCK
+    blocks = x[:cut].reshape(-1, _SQUARES_BLOCK)
+    tail = x[cut:]
+    return float(np.einsum("ij,ij->i", blocks, blocks).sum() + np.einsum("i,i->", tail, tail))
 
 
 class StateVector:
@@ -45,7 +62,7 @@ class StateVector:
             raise IndexError(f"marked indices out of range [0, {amps.size}): {sorted(bad)}")
         if len(marked_set) >= amps.size:
             raise ValueError("marked set must leave at least one unmarked state")
-        norm = float(amps @ amps)
+        norm = _sum_of_squares(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes are not normalised: sum of squares = {norm!r}")
         self.amplitudes = amps
@@ -83,47 +100,66 @@ def init_uniform(params: SearchParams, marked) -> StateVector:
     return state
 
 
-def _flip_marked(amps: np.ndarray, marked_idx: np.ndarray) -> None:
-    """Oracle step, in place: negate the marked amplitudes."""
-    amps[marked_idx] = -amps[marked_idx]
-
-
-def _reflect_about_mean(amps: np.ndarray) -> None:
-    """Diffusion step, in place: c_i -> 2*A - c_i. numpy's pairwise mean keeps
-    the conservation error near one ulp per element even at N = 2**20, where a
-    naive left-to-right sum would not meet the 1e-12 conservation budget."""
-    np.subtract(2.0 * float(amps.mean()), amps, out=amps)
-
-
 def apply_oracle(state: StateVector) -> StateVector:
     """Flip the sign of every marked amplitude; an exact involution."""
     out = state.amplitudes.copy()
-    _flip_marked(out, state._marked_idx)
+    idx = state._marked_idx
+    out[idx] = -out[idx]
     return state._derive(out)
+
+
+def _reflect_about_mean(state: StateVector) -> tuple[StateVector, float]:
+    """Diffusion, c_i -> 2*A - c_i, returning the new state and the mean A it
+    reflected about. numpy's pairwise mean keeps the conservation error near
+    one ulp per element even at N = 2**20, where a naive left-to-right sum
+    would not meet the 1e-12 conservation budget."""
+    mean = float(state.amplitudes.mean())
+    return state._derive(np.subtract(2.0 * mean, state.amplitudes)), mean
 
 
 def apply_diffusion(state: StateVector) -> StateVector:
     """Reflect each amplitude about the mean; preserves the sum and the norm."""
-    out = state.amplitudes.copy()
-    _reflect_about_mean(out)
-    return state._derive(out)
+    return _reflect_about_mean(state)[0]
 
 
 def grover_iterate(state: StateVector, count: int) -> StateVector:
-    """Apply ``count`` full iterations (oracle, then diffusion)."""
+    """Apply ``count`` full iterations (oracle, then diffusion) to any state.
+
+    Exact for every input, not only the uniform start: with ``mu`` and ``mm``
+    the unmarked and marked means, an iteration maps the mean pair (a, b) to
+    (2A - a, 2A + b) with A = (n1*a - n2*b)/N, negates each unmarked
+    amplitude's offset from ``mu`` and keeps each marked one's offset from
+    ``mm``. The recursion runs on two scalars, and the result is written in
+    one pass over the vector plus a gather and a scatter of the marked
+    entries: O(N + n2 + count) in all.
+    """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    amps = state.amplitudes.copy()
+    amps, idx = state.amplitudes, state._marked_idx
+    if count == 0:
+        return state._derive(amps.copy())
+    n_total, n2 = amps.size, idx.size
+    n1 = n_total - n2
+    marked = amps[idx]
+    marked_sum = float(marked.sum())
+    mu = (float(amps.sum()) - marked_sum) / n1
+    mm = marked_sum / n2
+    a, b = mu, mm
     for _ in range(count):
-        _flip_marked(amps, state._marked_idx)
-        _reflect_about_mean(amps)
-    return state._derive(amps)
+        mean = (n1 * a - n2 * b) / n_total
+        a, b = 2.0 * mean - a, 2.0 * mean + b
+    # Each unmarked amplitude c becomes a + (-1)**count * (c - mu). The
+    # marked entries this pass writes are overwritten below.
+    out = np.add(amps, a - mu) if count % 2 == 0 else np.subtract(a + mu, amps)
+    marked -= mm
+    marked += b
+    out[idx] = marked
+    return state._derive(out)
 
 
 def marked_probability(state: StateVector) -> float:
     """Probability that a measurement lands in the marked set."""
-    m = state.amplitudes[state._marked_idx]
-    return float(m @ m)
+    return _sum_of_squares(state.amplitudes[state._marked_idx])
 
 
 def measure_sample(state: StateVector, seed: int, draws: int) -> list[int]:

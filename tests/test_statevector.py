@@ -218,6 +218,34 @@ def test_iterate_runs_to_the_optimum_at_two_to_the_twenty():
     assert abs(b - expected.b) <= 1e-9
 
 
+def test_iterate_stays_on_the_closed_form_for_ten_optimal_runs_at_two_to_the_twenty():
+    """8040 iterations at N = 2**20, far more than a full-vector loop can
+    afford per test: the mean-pair recursion tracks the closed form."""
+    params = SearchParams(2**20 - 1, 1)
+    count = 10 * optimal_iterations(params)
+    state = grover_iterate(init_uniform(params, {777}), count)
+    expected = closed_form(params, count)
+    assert abs(float(state.amplitudes[0]) - expected.a) <= 1e-9
+    assert abs(float(state.amplitudes[777]) - expected.b) <= 1e-9
+
+
+@given(state_shapes, st.integers(min_value=0, max_value=64))
+def test_iterate_matches_stepwise_kernels_on_arbitrary_states(shape, count):
+    """On non-uniform states the invariant-subspace form equals ``count``
+    rounds of the full-vector oracle and diffusion, and the plain-python
+    oracle, and leaves its input untouched."""
+    state = random_state(*shape)
+    before = state.amplitudes.tolist()
+    got = grover_iterate(state, count).amplitudes
+    assert state.amplitudes.tolist() == before
+    stepwise = state
+    for _ in range(count):
+        stepwise = apply_diffusion(apply_oracle(stepwise))
+    assert np.allclose(got, stepwise.amplitudes, atol=1e-12, rtol=0)
+    brute = brute_iterate(before, state.marked, count)
+    assert np.allclose(got, brute, atol=1e-12, rtol=0)
+
+
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=2, max_value=64),
@@ -265,6 +293,21 @@ def test_marked_probability_examples():
     assert marked_probability(StateVector([0.0, 0.0, 0.0, 1.0], {3})) == 1.0
     uniform8 = init_uniform(SearchParams(6, 2), {0, 5})
     assert marked_probability(uniform8) == pytest.approx(0.25, abs=1e-15)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=3000),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_marked_probability_matches_fsum(seed, n, marked_share):
+    """The BLAS-free sum of squares, over whole blocks and a ragged tail,
+    stays within a few ulps of the exactly rounded sum."""
+    n2 = min(n - 1, max(1, round(marked_share * n)))
+    state = random_state(seed, n, n2)
+    squares = (state.amplitudes * state.amplitudes).tolist()
+    p_exact = fsum(squares[i] for i in state.marked)
+    assert abs(marked_probability(state) - p_exact) <= 1e-15 * p_exact
 
 
 def test_marked_probability_after_three_iterations_n16():
