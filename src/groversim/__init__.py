@@ -33,7 +33,9 @@ from .correspondence import (
     DEFAULT_STATEVECTOR_CAP,
     AnalogyReport,
     amplitudes_to_velocities,
+    analogy_report,
     velocities_to_amplitudes,
+    velocity_scale,
     verify_analogy,
 )
 from .harness import (
@@ -66,6 +68,7 @@ from .twolevel import (
     closed_form,
     matrix_power,
     optimal_iterations,
+    recursion_coefficients,
     rotation_angle,
     spectral_decompose,
     step,
@@ -97,6 +100,7 @@ __all__ = [
     "TrajectoryRow",
     "TwoLevelState",
     "amplitudes_to_velocities",
+    "analogy_report",
     "apply_diffusion",
     "apply_oracle",
     "build_matrix",
@@ -117,6 +121,7 @@ __all__ = [
     "measure_sample",
     "obstacle_bounce",
     "optimal_iterations",
+    "recursion_coefficients",
     "rotation_angle",
     "run_compare",
     "run_search",
@@ -126,5 +131,6 @@ __all__ = [
     "success_probability",
     "uniform_state",
     "velocities_to_amplitudes",
+    "velocity_scale",
     "verify_analogy",
 ]

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 
@@ -144,9 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main only reads the parser; each call gets its own Namespace.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
 
     # Sweep sizing is taken from --n2/--marked-count; a full instance spec is
     # not required, so fill a placeholder n1 before generic validation.

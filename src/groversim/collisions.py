@@ -161,17 +161,13 @@ def iterate(system: CollisionSystem) -> tuple[CollisionSystem, IterationRecord]:
     With masses (n1, n2) in unit masses this realises the velocity update
     u' = ((n1-n2) u - 2 n2 v)/N,  v' = (2 n1 u + (n1-n2) v)/N.
     """
-    bounced = obstacle_bounce(system.ball2)
-    u_new, v_new = elastic_collide(
-        system.ball1.mass, bounced.mass, system.ball1.velocity, bounced.velocity
-    )
+    ball1, ball2 = system.ball1, system.ball2
+    # The bounce reverses ball 2, as in ``obstacle_bounce``.
+    u_new, v_new = elastic_collide(ball1.mass, ball2.mass, ball1.velocity, -ball2.velocity)
     n = system.iteration + 1
     record = IterationRecord(n, u_new, v_new, classify_case(u_new, v_new))
-    updated = replace(
-        system,
-        ball1=replace(system.ball1, velocity=u_new),
-        ball2=replace(system.ball2, velocity=v_new),
-        iteration=n,
+    updated = CollisionSystem(
+        Ball(ball1.mass, u_new), Ball(ball2.mass, v_new), system.v_init, system.m_unit, n
     )
     return updated, record
 

@@ -4,16 +4,24 @@ The dictionary is linear: velocity = v_init * sqrt(N) * amplitude. Under
 that scaling the two-amplitude recursion, the collision iteration, and the
 full state vector trace the same trajectory, the marked-state probability
 equals ball 2's share of the kinetic energy, and the amplitude mean maps to
-the center-of-mass velocity. ``verify_analogy`` runs the engines side by
-side and reports the worst residual of each identity.
+the center-of-mass velocity.
+
+``analogy_report`` checks each identity at every step of one trajectory and
+reports the worst residual. Its input holds the amplitudes and the
+velocities side by side, computed independently by the two recursions; it
+adds the full state vector itself below the cap. ``verify_analogy`` runs the
+two recursions through the reference ``twolevel.step`` and
+``collisions.iterate`` and hands them to it; ``harness.run_compare`` hands it
+the rows of its own single pass instead, so the recursions run once per query.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Sequence
 
-from .collisions import center_of_mass_velocity, from_params, iterate, obstacle_bounce
+from .collisions import from_params, iterate
 from .params import SearchParams
 from .statevector import _reflect_about_mean, apply_oracle, init_uniform, marked_probability
 from .twolevel import TwoLevelState, step, uniform_state
@@ -41,11 +49,16 @@ class AnalogyReport:
     statevector_included: bool
 
 
+def velocity_scale(params: SearchParams, v_init: float) -> float:
+    """v_init * sqrt(N), the factor from amplitudes to velocities."""
+    return v_init * math.sqrt(params.n_total)
+
+
 def amplitudes_to_velocities(
     state: TwoLevelState, params: SearchParams, v_init: float
 ) -> tuple[float, float]:
     """Map shared amplitudes (a, b) to ball velocities (u, v) = v sqrt(N) (a, b)."""
-    scale = v_init * math.sqrt(params.n_total)
+    scale = velocity_scale(params, v_init)
     return scale * state.a, scale * state.b
 
 
@@ -56,65 +69,63 @@ def velocities_to_amplitudes(
     to rounding."""
     if not v_init > 0:
         raise ValueError(f"v_init must be positive, got {v_init!r}")
-    scale = v_init * math.sqrt(params.n_total)
+    scale = velocity_scale(params, v_init)
     return TwoLevelState(u / scale, v_ball2 / scale)
 
 
-def verify_analogy(
+def analogy_report(
     params: SearchParams,
-    v_init: float = 1.0,
-    steps: int = 1,
+    v_init: float,
+    trajectory: Sequence[tuple[float, float, float, float, float]],
     statevector_cap: int = DEFAULT_STATEVECTOR_CAP,
 ) -> AnalogyReport:
-    """Run the two-amplitude recursion, the collision iteration, and (below
-    the cap) the full state vector for ``steps`` iterations, comparing them
-    at every step.
+    """Residuals of one side-by-side run over steps = len(trajectory) - 1.
 
-    The state-vector leg marks the first n2 indices; by symmetry the choice
-    does not affect any reported quantity.
+    ``trajectory[n]`` is (a_n, b_n, u_n, v_n, energy_fraction_n) for
+    n = 0..steps: the amplitudes from the two-amplitude recursion, the
+    velocities and ball 2's share of the kinetic energy from the collision
+    iteration, each recursion run on its own. Below the cap the full state
+    vector is iterated here for the same steps and compared with the
+    velocities too; it marks the first n2 indices, and by symmetry the
+    choice does not affect any reported quantity.
     """
+    steps = len(trajectory) - 1
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    n_total, n2 = params.n_total, params.n2
-    scale = v_init * math.sqrt(n_total)
-    total_energy = 0.5 * n_total * v_init * v_init  # m_unit = 1
-
-    two = uniform_state(params)
-    system = from_params(params, v_init)
+    n_total, n1, n2 = params.n_total, params.n1, params.n2
+    scale = velocity_scale(params, v_init)
     use_statevector = n_total <= statevector_cap
     if use_statevector:
         sv = init_uniform(params, frozenset(range(n2)))
         marked_probe, unmarked_probe = 0, n_total - 1
 
     vel_res = prob_res = center_res = 0.0
-    for _ in range(steps):
+    for (a, b, u, v, _), (a_next, b_next, u_next, v_next, energy_fraction) in zip(
+        trajectory, trajectory[1:]
+    ):
         # Oracle / wall-bounce half-step: compare the amplitude mean with the
         # center-of-mass velocity while they are in corresponding phases.
-        after_bounce = replace(system, ball2=obstacle_bounce(system.ball2))
-        v_c = center_of_mass_velocity(after_bounce)
-        mean_two = (params.n1 * two.a - n2 * two.b) / n_total
+        # Ball 2 has just bounced, so its velocity is -v.
+        v_c = (n1 * u - n2 * v) / n_total
+        mean_two = (n1 * a - n2 * b) / n_total
         center_res = max(center_res, abs(v_c - scale * mean_two))
         if use_statevector:
             sv, mean_sv = _reflect_about_mean(apply_oracle(sv))
             center_res = max(center_res, abs(v_c - scale * mean_sv))
 
-        two = step(two, params)
-        system, record = iterate(system)
-
         vel_res = max(
             vel_res,
-            abs(record.u - scale * two.a),
-            abs(record.v - scale * two.b),
+            abs(u_next - scale * a_next),
+            abs(v_next - scale * b_next),
         )
-        energy_fraction = system.ball2.kinetic_energy / total_energy
-        prob_res = max(prob_res, abs(n2 * two.b * two.b - energy_fraction))
+        prob_res = max(prob_res, abs(n2 * b_next * b_next - energy_fraction))
         if use_statevector:
             a_sv = float(sv.amplitudes[unmarked_probe])
             b_sv = float(sv.amplitudes[marked_probe])
             vel_res = max(
                 vel_res,
-                abs(record.u - scale * a_sv),
-                abs(record.v - scale * b_sv),
+                abs(u_next - scale * a_sv),
+                abs(v_next - scale * b_sv),
             )
             prob_res = max(prob_res, abs(marked_probability(sv) - energy_fraction))
 
@@ -125,3 +136,31 @@ def verify_analogy(
         steps_checked=steps,
         statevector_included=use_statevector,
     )
+
+
+def verify_analogy(
+    params: SearchParams,
+    v_init: float = 1.0,
+    steps: int = 1,
+    statevector_cap: int = DEFAULT_STATEVECTOR_CAP,
+) -> AnalogyReport:
+    """Run the two-amplitude recursion (``twolevel.step``), the collision
+    iteration (``collisions.iterate``) and, below the cap, the full state
+    vector for ``steps`` iterations, comparing them at every step.
+    """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    total_energy = 0.5 * params.n_total * v_init * v_init  # m_unit = 1
+
+    two = uniform_state(params)
+    system = from_params(params, v_init)
+    trajectory = []
+    for n in range(steps + 1):
+        if n > 0:
+            two = step(two, params)
+            system, _ = iterate(system)
+        ball1, ball2 = system.ball1, system.ball2
+        trajectory.append(
+            (two.a, two.b, ball1.velocity, ball2.velocity, ball2.kinetic_energy / total_energy)
+        )
+    return analogy_report(params, v_init, trajectory, statevector_cap)

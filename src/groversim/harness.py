@@ -7,20 +7,19 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .collisions import classify_case, detect_regime, from_params, iterate
+from .collisions import classify_case, detect_regime, elastic_collide, from_params
 from .correspondence import (
     DEFAULT_STATEVECTOR_CAP,
     AnalogyReport,
-    amplitudes_to_velocities,
-    velocities_to_amplitudes,
-    verify_analogy,
+    analogy_report,
+    velocity_scale,
 )
 from .params import RegimeWarning, SearchParams
 from .twolevel import (
     THETA_APPROX,
     THETA_EXACT,
     optimal_iterations,
-    step,
+    recursion_coefficients,
     success_probability,
     uniform_state,
 )
@@ -144,45 +143,53 @@ def run_search(config: ScenarioConfig, engine: str = ENGINE_BOTH) -> list[Trajec
     two-amplitude recursion and maps velocities through the exact scaling,
     ``collision`` drives the velocity iteration and maps amplitudes back,
     ``both`` runs the two recursions independently side by side.
+
+    Both recursions run on plain floats, with the same arithmetic in the
+    same order as their reference steps, ``twolevel.step`` and
+    ``collisions.iterate``, so every value is bit-identical to theirs.
     """
     if engine not in (ENGINE_ANALYTIC, ENGINE_COLLISION, ENGINE_BOTH):
         raise ConfigError(f"unknown engine {engine!r}")
     config.validate()
     params = config.resolved_params()
-    iterations = config.resolved_iterations(params)
-    regime = detect_regime(params).value
-    v_init = config.v_init
+    return _trajectory(params, config.v_init, config.resolved_iterations(params), engine)
 
+
+def _trajectory(
+    params: SearchParams, v_init: float, iterations: int, engine: str
+) -> list[TrajectoryRow]:
+    regime = detect_regime(params).value
+    n2 = params.n2
+    scale = velocity_scale(params, v_init)
+    diag, c_a, c_b = recursion_coefficients(params)
     two = uniform_state(params)
     system = from_params(params, v_init)
-    total_energy = 0.5 * (system.ball1.mass + system.ball2.mass) * v_init * v_init
+    m1, m2 = system.ball1.mass, system.ball2.mass
+    total_energy = 0.5 * (m1 + m2) * v_init * v_init
 
+    a, b = two.a, two.b
+    u, v = system.ball1.velocity, system.ball2.velocity
     rows: list[TrajectoryRow] = []
     for n in range(iterations + 1):
         if n > 0:
             if engine != ENGINE_COLLISION:
-                two = step(two, params)
+                a, b = diag * a - c_b * b, c_a * a + diag * b
             if engine != ENGINE_ANALYTIC:
-                system, _ = iterate(system)
+                # Ball 2 bounces off the wall (-v), then the balls collide.
+                u, v = elastic_collide(m1, m2, u, -v)
         if engine == ENGINE_ANALYTIC:
-            a, b = two.a, two.b
-            u, v = amplitudes_to_velocities(two, params, v_init)
+            u, v = scale * a, scale * b
         elif engine == ENGINE_COLLISION:
-            u, v = system.ball1.velocity, system.ball2.velocity
-            mapped = velocities_to_amplitudes(u, v, params, v_init)
-            a, b = mapped.a, mapped.b
-        else:
-            a, b = two.a, two.b
-            u, v = system.ball1.velocity, system.ball2.velocity
+            a, b = u / scale, v / scale
         rows.append(
             TrajectoryRow(
                 n=n,
                 a_n=a,
                 b_n=b,
-                p_marked=params.n2 * b * b,
+                p_marked=n2 * b * b,
                 u_n=u,
                 v_n=v,
-                energy_fraction_ball2=(0.5 * params.n2 * v * v) / total_energy,
+                energy_fraction_ball2=(0.5 * n2 * v * v) / total_energy,
                 case_label=classify_case(u, v).value,
                 regime=regime,
             )
@@ -227,49 +234,30 @@ def run_sweep(
     return rows
 
 
-def _fmt(value) -> str:
-    # Floats use the shortest representation that round-trips the exact
-    # double (at most 17 significant digits), so emitted CSVs are lossless
-    # and byte-stable.
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
+# Floats are written with repr, the shortest representation that round-trips
+# the exact double (at most 17 significant digits), so emitted CSVs are
+# lossless and byte-stable.
 def format_trajectory_csv(rows: Iterable[TrajectoryRow]) -> str:
     lines = [TRAJECTORY_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.n,
-                    row.a_n,
-                    row.b_n,
-                    row.p_marked,
-                    row.u_n,
-                    row.v_n,
-                    row.energy_fraction_ball2,
-                    row.case_label,
-                    row.regime,
-                )
-            )
-        )
+    lines.extend(
+        f"{row.n},{row.a_n!r},{row.b_n!r},{row.p_marked!r},{row.u_n!r},{row.v_n!r},"
+        f"{row.energy_fraction_ball2!r},{row.case_label},{row.regime}"
+        for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 
 def format_sweep_csv(rows: Iterable[SweepRow]) -> str:
     lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in (row.n_total, row.n0, row.p_at_n0, row.regime)))
+    lines.extend(f"{row.n_total},{row.n0},{row.p_at_n0!r},{row.regime}" for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def format_report_comments(report: AnalogyReport) -> str:
     lines = [
-        f"# max_velocity_residual={_fmt(report.max_velocity_residual)}",
-        f"# max_probability_energy_residual={_fmt(report.max_probability_energy_residual)}",
-        f"# max_center_velocity_residual={_fmt(report.max_center_velocity_residual)}",
+        f"# max_velocity_residual={report.max_velocity_residual!r}",
+        f"# max_probability_energy_residual={report.max_probability_energy_residual!r}",
+        f"# max_center_velocity_residual={report.max_center_velocity_residual!r}",
         f"# steps_checked={report.steps_checked}",
         f"# statevector_included={'true' if report.statevector_included else 'false'}",
     ]
@@ -286,14 +274,27 @@ def emit_text(text: str, path) -> None:
 
 
 def run_compare(config: ScenarioConfig) -> tuple[list[TrajectoryRow], AnalogyReport]:
-    """Rows from the independent engines plus the three-way residual report."""
-    rows = run_search(config, engine=ENGINE_BOTH)
+    """Rows from the independent engines plus the three-way residual report.
+
+    One pass: the report is built from the ``both`` rows, in which the
+    two-amplitude recursion and the collision iteration are still computed
+    independently of each other, so neither recursion runs a second time.
+    Below the state-vector cap the report also iterates the full state
+    vector alongside them. The report checks at least one step, as
+    ``verify_analogy`` does, so a zero-iteration run computes one row more
+    than it returns.
+    """
+    config.validate()
     params = config.resolved_params()
-    steps = max(1, config.resolved_iterations(params))
-    report = verify_analogy(
-        params, config.v_init, steps, statevector_cap=config.statevector_cap
+    iterations = config.resolved_iterations(params)
+    rows = _trajectory(params, config.v_init, max(1, iterations), ENGINE_BOTH)
+    report = analogy_report(
+        params,
+        config.v_init,
+        [(r.a_n, r.b_n, r.u_n, r.v_n, r.energy_fraction_ball2) for r in rows],
+        config.statevector_cap,
     )
-    return rows, report
+    return rows[: iterations + 1], report
 
 
 _INT_KEYS = frozenset({"n1", "n2", "log2_n", "marked_count", "seed", "statevector_cap"})

@@ -82,20 +82,28 @@ def uniform_state(params: SearchParams) -> TwoLevelState:
     return TwoLevelState(amp, amp)
 
 
-def build_matrix(params: SearchParams) -> IterationMatrix:
+def recursion_coefficients(params: SearchParams) -> tuple[float, float, float]:
+    """(diag, c_a, c_b) = ((n1-n2)/N, 2*n1/N, 2*n2/N), the entries of
+    T = [[diag, -c_b], [c_a, diag]]. One step on plain floats is
+
+        a, b = diag*a - c_b*b, c_a*a + diag*b
+
+    which is ``step`` term for term, so loops written this way stay
+    bit-identical to it.
+    """
     n1, n2, n = params.n1, params.n2, params.n_total
-    diag = (n1 - n2) / n
-    entries = np.array([[diag, -2.0 * n2 / n], [2.0 * n1 / n, diag]])
-    return IterationMatrix(entries)
+    return (n1 - n2) / n, 2.0 * n1 / n, 2.0 * n2 / n
+
+
+def build_matrix(params: SearchParams) -> IterationMatrix:
+    diag, c_a, c_b = recursion_coefficients(params)
+    return IterationMatrix(np.array([[diag, -c_b], [c_a, diag]]))
 
 
 def step(state: TwoLevelState, params: SearchParams) -> TwoLevelState:
     """One iteration of the recursion: (a, b) <- T (a, b)."""
-    n1, n2, n = params.n1, params.n2, params.n_total
-    diag = (n1 - n2) / n
-    a = diag * state.a - (2.0 * n2 / n) * state.b
-    b = (2.0 * n1 / n) * state.a + diag * state.b
-    return TwoLevelState(a, b)
+    diag, c_a, c_b = recursion_coefficients(params)
+    return TwoLevelState(diag * state.a - c_b * state.b, c_a * state.a + diag * state.b)
 
 
 def spectral_decompose(params: SearchParams) -> Spectral:

@@ -136,3 +136,24 @@ def test_draws_above_cap_is_config_error(capsys):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_repeated_calls_in_one_process_give_the_same_output(capsys):
+    # (argv, exit code); the parser is built once and shared by every call.
+    calls = [
+        (("search", "--log2-n", "10", "--v-init", "1.5"), 0),
+        (("collide", "--n1", "60", "--n2", "4", "--iterations", "7"), 0),
+        (("compare", "--log2-n", "6", "--theta-mode", "paper"), 0),
+        (("sweep", "--log2-min", "2", "--log2-max", "9", "--n2", "1"), 0),
+        (("search", "--n1", "3"), 2),  # n1 without n2
+        (("compare", "--log2-n", "25", "--marked-count", "7"), 0),
+    ]
+    first = {}
+    for _ in range(3):
+        for argv, code in calls:
+            result = run_cli(capsys, *argv)
+            assert result[0] == code, result
+            assert first.setdefault(argv, result) == result
+        with pytest.raises(SystemExit):
+            main(["collide", "--warp-speed", "9"])
+        capsys.readouterr()

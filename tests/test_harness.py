@@ -1,16 +1,34 @@
 """Scenario configs, trajectory/sweep assembly, CSV formatting."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from groversim import ConfigError, ScenarioConfig, SearchParams, run_search, run_sweep
+from groversim import (
+    ConfigError,
+    ProtocolWarning,
+    ScenarioConfig,
+    SearchParams,
+    amplitudes_to_velocities,
+    classify_case,
+    detect_regime,
+    from_params,
+    iterate,
+    run_search,
+    run_sweep,
+    step,
+    uniform_state,
+    velocities_to_amplitudes,
+    verify_analogy,
+)
 from groversim.harness import (
     ENGINE_ANALYTIC,
     ENGINE_BOTH,
     ENGINE_COLLISION,
     SWEEP_HEADER,
     TRAJECTORY_HEADER,
+    TrajectoryRow,
     build_config,
     coerce_config_values,
     emit_csv,
@@ -170,6 +188,105 @@ def test_row_invariants():
 def test_run_search_rejects_unknown_engine():
     with pytest.raises(ConfigError):
         run_search(ScenarioConfig(n1=3, n2=1), engine="quantum")
+
+
+def reference_rows(config, engine):
+    """run_search rebuilt from the public per-step functions."""
+    params = config.resolved_params()
+    iterations = config.resolved_iterations(params)
+    v_init = config.v_init
+    two = uniform_state(params)
+    system = from_params(params, v_init)
+    total_energy = 0.5 * (system.ball1.mass + system.ball2.mass) * v_init * v_init
+    rows = []
+    for n in range(iterations + 1):
+        if n > 0:
+            if engine != ENGINE_COLLISION:
+                two = step(two, params)
+            if engine != ENGINE_ANALYTIC:
+                system, _ = iterate(system)
+        if engine == ENGINE_ANALYTIC:
+            a, b = two.a, two.b
+            u, v = amplitudes_to_velocities(two, params, v_init)
+        elif engine == ENGINE_COLLISION:
+            u, v = system.ball1.velocity, system.ball2.velocity
+            mapped = velocities_to_amplitudes(u, v, params, v_init)
+            a, b = mapped.a, mapped.b
+        else:
+            a, b = two.a, two.b
+            u, v = system.ball1.velocity, system.ball2.velocity
+        rows.append(
+            TrajectoryRow(
+                n=n,
+                a_n=a,
+                b_n=b,
+                p_marked=params.n2 * b * b,
+                u_n=u,
+                v_n=v,
+                energy_fraction_ball2=(0.5 * params.n2 * v * v) / total_energy,
+                case_label=classify_case(u, v).value,
+                regime=detect_regime(params).value,
+            )
+        )
+    return rows
+
+
+REFERENCE_CONFIGS = [
+    ScenarioConfig(log2_n=12, marked_count=3, v_init=1.7),  # efficient
+    ScenarioConfig(n1=4095, n2=1, iterations=120, v_init=0.37),  # efficient, over-rotated
+    ScenarioConfig(n1=768, n2=256, iterations=9, v_init=2.5),  # boundary
+    ScenarioConfig(n1=600, n2=424, iterations=17),  # inefficient
+    ScenarioConfig(n1=1000, n2=2, theta_mode="paper", v_init=3.1),
+    ScenarioConfig(n1=5, n2=5, iterations=23, v_init=0.8),  # equal masses
+]
+
+
+@pytest.mark.filterwarnings("ignore::groversim.ProtocolWarning")
+@pytest.mark.parametrize("engine", [ENGINE_ANALYTIC, ENGINE_COLLISION, ENGINE_BOTH])
+@pytest.mark.parametrize("config", REFERENCE_CONFIGS, ids=lambda c: f"{c.n1}-{c.n2}-{c.log2_n}")
+def test_run_search_matches_the_per_step_reference(config, engine):
+    assert run_search(config, engine=engine) == reference_rows(config, engine)
+
+
+def test_equal_masses_warn_through_run_search():
+    with pytest.warns(ProtocolWarning):
+        run_search(ScenarioConfig(n1=5, n2=5, iterations=8), engine=ENGINE_COLLISION)
+
+
+@pytest.mark.filterwarnings("ignore::groversim.ProtocolWarning")
+@pytest.mark.parametrize("cap", [2, 2**20])
+@pytest.mark.parametrize(
+    "config",
+    [
+        ScenarioConfig(n1=1023, n2=1, v_init=1.3),
+        ScenarioConfig(n1=768, n2=256, iterations=0),
+        ScenarioConfig(n1=600, n2=424, iterations=5, theta_mode="paper"),
+        ScenarioConfig(n1=7, n2=7, iterations=12, v_init=2.25),
+    ],
+    ids=lambda c: f"{c.n1}-{c.n2}",
+)
+def test_run_compare_report_equals_verify_analogy(config, cap):
+    config = replace(config, statevector_cap=cap)
+    rows, report = run_compare(config)
+    params = config.resolved_params()
+    iterations = config.resolved_iterations(params)
+    assert len(rows) == iterations + 1
+    assert rows == run_search(config, engine=ENGINE_BOTH)
+    assert report.statevector_included == (params.n_total <= cap)
+    assert report == verify_analogy(params, config.v_init, max(1, iterations), cap)
+
+
+def test_run_compare_runs_each_recursion_once(monkeypatch):
+    import groversim.correspondence as correspondence
+
+    def second_pass(*args, **kwargs):
+        raise AssertionError("the report re-ran a recursion")
+
+    monkeypatch.setattr(correspondence, "step", second_pass)
+    monkeypatch.setattr(correspondence, "iterate", second_pass)
+    rows, report = run_compare(ScenarioConfig(log2_n=24, marked_count=3, v_init=1.3))
+    assert report.steps_checked == len(rows) - 1
+    assert not report.statevector_included
 
 
 def test_run_compare_reports_residuals():
