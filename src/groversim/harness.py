@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -62,6 +63,8 @@ class ScenarioConfig:
             raise ConfigError(f"theta_mode must be 'exact' or 'paper', got {self.theta_mode!r}")
         if not self.v_init > 0:
             raise ConfigError(f"v_init must be positive, got {self.v_init!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         if self.statevector_cap < 2:
             raise ConfigError(f"statevector_cap must be >= 2, got {self.statevector_cap!r}")
         if isinstance(self.iterations, str):
@@ -69,7 +72,16 @@ class ScenarioConfig:
                 raise ConfigError(f"iterations must be an integer or 'auto', got {self.iterations!r}")
         elif self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations!r}")
-        self.resolved_params()
+        # The total kinetic energy, as the collision engine computes it, must
+        # be a normal float: an overflow turns the energy fractions into NaN,
+        # and below the normal range they lose their precision or divide by 0.
+        n_total = self.resolved_params().n_total
+        energy = 0.5 * n_total * self.v_init * self.v_init
+        if not sys.float_info.min <= energy <= sys.float_info.max:
+            raise ConfigError(
+                f"v_init={self.v_init!r} puts the total kinetic energy 0.5*N*v_init**2 "
+                f"at N={n_total} outside the normal float range: {energy!r}"
+            )
 
     def resolved_params(self) -> SearchParams:
         have_counts = self.n1 is not None and self.n2 is not None

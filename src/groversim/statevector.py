@@ -1,11 +1,12 @@
 """Full state-vector engine for the search iteration.
 
-The state is a length-N vector of real amplitudes plus the set of marked
-indices. One iteration applies the oracle (sign flip on the marked
-amplitudes) followed by diffusion (reflection of every amplitude about the
-mean, "inversion about average"). ``apply_oracle`` and ``apply_diffusion``
-are the full-vector kernels, each O(N); the N x N diffusion matrix is never
-materialised.
+The state is a length-N vector of real amplitudes plus the marked indices,
+stored once as a sorted array of distinct ``np.intp`` indices; their
+``frozenset`` is built only when read. One iteration applies the oracle
+(sign flip on the marked amplitudes) followed by diffusion (reflection of
+every amplitude about the mean, "inversion about average").
+``apply_oracle`` and ``apply_diffusion`` are the full-vector kernels, each
+O(N); the N x N diffusion matrix is never materialised.
 
 ``grover_iterate`` does not loop over them: it works in the two-dimensional
 invariant subspace spanned by the unmarked and marked means, so ``count``
@@ -19,6 +20,7 @@ their input, so states can be shared freely across threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 
 import numpy as np
 
@@ -40,40 +42,70 @@ def _sum_of_squares(x: np.ndarray) -> float:
     return float(np.einsum("ij,ij->i", blocks, blocks).sum() + np.einsum("i,i->", tail, tail))
 
 
+def _marked_indices(marked, n_total: int) -> np.ndarray:
+    """The distinct indices of ``marked`` as a sorted ``np.intp`` array,
+    checked to be non-empty, inside ``[0, n_total)`` and to leave one
+    index unmarked."""
+    if not isinstance(marked, Collection):
+        marked = list(marked)  # read a second time if an index overflows intp
+    try:
+        idx = np.fromiter(map(int, marked), dtype=np.intp)
+    except OverflowError:  # beyond intp, so out of range too
+        idx = None
+    else:
+        idx.sort()
+        distinct = idx[1:] != idx[:-1]
+        if not distinct.all():
+            idx = np.concatenate((idx[:1], idx[1:][distinct]))
+        if idx.size == 0:
+            raise ValueError("marked set must not be empty")
+    if idx is None or idx[0] < 0 or idx[-1] >= n_total:
+        bad = sorted({i for i in map(int, marked) if not 0 <= i < n_total})
+        raise IndexError(f"marked indices out of range [0, {n_total}): {bad}")
+    if idx.size >= n_total:
+        raise ValueError("marked set must leave at least one unmarked state")
+    idx.flags.writeable = False  # shared by every state derived from this one
+    return idx
+
+
 class StateVector:
-    """Real amplitude vector with an immutable marked-index set.
+    """Real amplitude vector with an immutable set of marked indices.
 
     Invariants, checked when built from caller input and kept by the kernels:
     1-D float64 amplitudes with unit sum of squares (within ``NORM_TOL``), and
     a marked set that is a non-empty proper subset of the index range.
+
+    The marked set is held once, as the sorted read-only ``np.intp`` array
+    ``_marked_idx`` that the kernels index with. ``marked`` builds its
+    ``frozenset`` on first read and caches it; two threads that race to fill
+    the cache build equal sets, so the race is harmless.
     """
 
-    __slots__ = ("amplitudes", "marked", "_marked_idx")
+    __slots__ = ("amplitudes", "_marked_idx", "_marked")
 
     def __init__(self, amplitudes, marked) -> None:
         amps = np.asarray(amplitudes, dtype=np.float64)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must be a 1-D vector of length >= 2")
-        marked_set = frozenset(int(i) for i in marked)
-        if not marked_set:
-            raise ValueError("marked set must not be empty")
-        bad = [i for i in marked_set if i < 0 or i >= amps.size]
-        if bad:
-            raise IndexError(f"marked indices out of range [0, {amps.size}): {sorted(bad)}")
-        if len(marked_set) >= amps.size:
-            raise ValueError("marked set must leave at least one unmarked state")
+        idx = _marked_indices(marked, amps.size)
         norm = _sum_of_squares(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes are not normalised: sum of squares = {norm!r}")
         self.amplitudes = amps
-        self.marked = marked_set
-        self._marked_idx = np.sort(np.fromiter(marked_set, dtype=np.intp, count=len(marked_set)))
+        self._marked_idx = idx
+        self._marked = None
 
     def _derive(self, amplitudes: np.ndarray) -> StateVector:
         """A state on this state's marked set, built without the checks."""
         state = object.__new__(StateVector)
-        state.amplitudes, state.marked, state._marked_idx = amplitudes, self.marked, self._marked_idx
+        state.amplitudes, state._marked_idx, state._marked = amplitudes, self._marked_idx, self._marked
         return state
+
+    @property
+    def marked(self) -> frozenset[int]:
+        if self._marked is None:
+            self._marked = frozenset(self._marked_idx.tolist())
+        return self._marked
 
     @property
     def n_total(self) -> int:
@@ -81,10 +113,11 @@ class StateVector:
 
     @property
     def params(self) -> SearchParams:
-        return SearchParams(self.n_total - len(self.marked), len(self.marked))
+        n2 = self._marked_idx.size
+        return SearchParams(self.n_total - n2, n2)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"StateVector(n={self.n_total}, marked={sorted(self.marked)})"
+        return f"StateVector(n={self.n_total}, marked={self._marked_idx.tolist()})"
 
 
 def init_uniform(params: SearchParams, marked) -> StateVector:
@@ -95,8 +128,9 @@ def init_uniform(params: SearchParams, marked) -> StateVector:
     """
     n = params.n_total
     state = StateVector(np.full(n, 1.0 / math.sqrt(n)), marked)
-    if len(state.marked) != params.n2:
-        raise ValueError(f"marked set has {len(state.marked)} indices, expected n2={params.n2}")
+    n2 = state._marked_idx.size
+    if n2 != params.n2:
+        raise ValueError(f"marked set has {n2} indices, expected n2={params.n2}")
     return state
 
 
@@ -167,13 +201,20 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> list[int]:
 
     Inverse-CDF sampling over the squared amplitudes, driven by numpy's
     seeded PCG64 stream, so a fixed seed reproduces the same draws on any
-    platform.
+    platform. Draw j is the first index whose CDF value exceeds key j, the
+    j-th uniform from the stream. The keys are searched in sorted order,
+    which walks the CDF once instead of jumping across it at random, and
+    the picks are scattered back into draw order, so the result is the same
+    as searching each key on its own.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    probs = state.amplitudes * state.amplitudes
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum(state.amplitudes * state.amplitudes)
     cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    picks = np.searchsorted(cdf, rng.random(draws), side="right")
+    keys = np.random.default_rng(seed).random(draws)
+    order = np.argsort(keys)
+    keys = keys[order]
+    picks = np.empty(draws, dtype=np.intp)
+    picks[order] = np.searchsorted(cdf, keys, side="right")
+    del keys, order  # free them before the list of picks is built
     return picks.tolist()

@@ -129,7 +129,7 @@ def matrix_power(params: SearchParams, n: int) -> np.ndarray:
     phi = 2.0 * n * rotation_angle(params)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     rho = math.sqrt(params.n1 / params.n2)
-    return np.array([[cos_phi, -sin_phi / rho], [rho * sin_phi, cos_phi]])
+    return np.array((cos_phi, -sin_phi / rho, rho * sin_phi, cos_phi)).reshape(2, 2)
 
 
 def closed_form(params: SearchParams, n: int, theta_mode: str = THETA_EXACT) -> TwoLevelState:

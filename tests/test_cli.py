@@ -138,6 +138,33 @@ def test_draws_above_cap_is_config_error(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("search", "--log2-n", "4", "--v-init", "1e200"), "v_init=1e+200"),
+        (("collide", "--log2-n", "4", "--v-init", "inf"), "v_init=inf"),
+        (("compare", "--log2-n", "4", "--v-init", "1e-200"), "v_init=1e-200"),
+        (("search", "--log2-n", "4", "--draws", "3", "--seed", "-1"), "seed must be >= 0"),
+    ],
+    ids=["energy-overflows", "infinite-speed", "energy-underflows", "negative-seed"],
+)
+def test_out_of_range_numbers_are_config_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and message in err
+
+
+def test_speeds_at_the_edges_of_the_energy_range_give_finite_output(capsys):
+    # The largest and smallest speeds whose total energy 0.5*N*v**2 at
+    # N = 16 is a normal float; every value written must be finite.
+    for v_init in (4.740375954054588e153, 5.2738433074315e-155):
+        for command in ("search", "collide", "compare"):
+            code, out, err = run_cli(capsys, command, "--log2-n", "4", "--v-init", repr(v_init))
+            assert code == 0, err
+            assert "nan" not in out and "inf" not in out, out
+
+
 def test_repeated_calls_in_one_process_give_the_same_output(capsys):
     # (argv, exit code); the parser is built once and shared by every call.
     calls = [

@@ -1,6 +1,7 @@
 """State-vector engine: kernels, conservation laws, and sampling."""
 
 import math
+import re
 from math import fsum, sqrt
 
 import numpy as np
@@ -91,6 +92,76 @@ def test_statevector_rejects_invalid_inputs():
         StateVector([1.0 / sqrt(2)] * 2, {0, 1})       # nothing unmarked
     with pytest.raises(ValueError):
         StateVector([1.0], {0})                        # length < 2
+
+
+UNIFORM8 = np.full(8, 1.0 / sqrt(8))
+
+
+@pytest.mark.parametrize(
+    "make_marked",
+    [
+        lambda: [5, 1, 3],
+        lambda: {1, 3, 5},
+        lambda: range(1, 6, 2),
+        lambda: (i for i in (5, 3, 1)),
+        lambda: np.array([5, 1, 3]),
+        lambda: [np.int64(5), np.int32(1), np.uint8(3)],
+        lambda: [3, 1, 5, 1, 3, 3],  # duplicates collapse
+    ],
+    ids=["list", "set", "range", "generator", "ndarray", "numpy-scalars", "duplicates"],
+)
+def test_statevector_accepts_index_collections(make_marked):
+    state = StateVector(UNIFORM8, make_marked())
+    assert state.marked == frozenset({1, 3, 5})
+    assert state._marked_idx.dtype == np.intp
+    assert state._marked_idx.tolist() == [1, 3, 5]
+    assert state.params == SearchParams(5, 3)
+
+
+@pytest.mark.parametrize(
+    "make_marked",
+    [lambda: [9, 1, -2, 8, 9, -2], lambda: (i for i in (1, 8, -2, 9))],
+    ids=["list", "generator"],
+)
+def test_out_of_range_error_lists_the_bad_indices_sorted(make_marked):
+    with pytest.raises(IndexError, match=re.escape("out of range [0, 8): [-2, 8, 9]")):
+        StateVector(UNIFORM8, make_marked())
+
+
+def test_index_beyond_intp_is_an_index_error():
+    huge = [1, 2**64, 7, -(2**70), 2**64]
+    message = f"out of range [0, 8): [{-(2**70)}, {2**64}]"
+    for marked in (huge, (i for i in huge)):
+        with pytest.raises(IndexError, match=re.escape(message)):
+            StateVector(UNIFORM8, marked)
+
+
+@pytest.mark.parametrize(
+    "marked", [[], set(), range(0), np.array([], dtype=np.int64)], ids=["list", "set", "range", "ndarray"]
+)
+def test_empty_marked_set_is_rejected(marked):
+    with pytest.raises(ValueError, match="must not be empty"):
+        StateVector(UNIFORM8, marked)
+
+
+def test_marking_every_index_is_rejected_even_with_duplicates():
+    with pytest.raises(ValueError, match="at least one unmarked"):
+        StateVector(UNIFORM8, list(range(8)) + [3, 3])
+
+
+def test_marked_set_is_built_on_first_read_and_shared_with_derived_states():
+    state = init_uniform(SearchParams(13, 3), [9, 0, 4])
+    assert state._marked is None  # only the index array is built eagerly
+    derived_before = grover_iterate(state, 2)
+    marked = state.marked
+    assert marked == frozenset({0, 4, 9})
+    assert state.marked is marked
+    assert derived_before.marked == marked
+    for derived in (apply_oracle(state), apply_diffusion(state), grover_iterate(state, 3)):
+        assert derived._marked_idx is state._marked_idx
+        assert derived.marked is marked
+    with pytest.raises(ValueError):
+        state._marked_idx[0] = 1  # shared, so read-only
 
 
 # --- oracle -----------------------------------------------------------------
@@ -320,6 +391,37 @@ def test_marked_probability_after_three_iterations_n16():
         expected, abs=1e-12
     )
     assert math.sin(7 * math.asin(0.25)) ** 2 == pytest.approx(expected, abs=1e-15)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=300),
+    st.sampled_from(["random", "with-zeros", "point-mass"]),
+    st.integers(min_value=0, max_value=2**63 - 1),
+    st.one_of(st.just(1), st.integers(min_value=1, max_value=3000)),
+)
+def test_measure_sample_matches_searching_each_draw_on_its_own(
+    state_seed, n, kind, sample_seed, draws
+):
+    """The sorted-key search returns, in draw order, the picks of searching
+    every uniform key of the seeded stream on its own, exactly-zero
+    amplitudes (tied CDF values) and point masses included."""
+    rng = np.random.default_rng(state_seed)
+    if kind == "point-mass":
+        amps = np.zeros(n)
+        amps[rng.integers(n)] = rng.choice([-1.0, 1.0])
+    else:
+        amps = rng.standard_normal(n)
+        if kind == "with-zeros":
+            amps[rng.random(n) < 0.6] = 0.0
+            amps[rng.integers(n)] = 1.0
+        amps /= np.sqrt(fsum((amps * amps).tolist()))
+    state = StateVector(amps, {0})
+    cdf = np.cumsum(state.amplitudes * state.amplitudes)
+    cdf /= cdf[-1]
+    keys = np.random.default_rng(sample_seed).random(draws)
+    expected = np.searchsorted(cdf, keys, side="right").tolist()
+    assert measure_sample(state, sample_seed, draws) == expected
 
 
 def test_measure_sample_is_deterministic_on_point_mass():
