@@ -6,9 +6,9 @@ import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .collisions import classify_case, detect_regime, elastic_collide, from_params
+from .collisions import CollisionCase, classify_case, detect_regime, elastic_collide, from_params
 from .correspondence import (
     DEFAULT_STATEVECTOR_CAP,
     AnalogyReport,
@@ -33,6 +33,10 @@ ENGINE_COLLISION = "collision"
 ENGINE_BOTH = "both"
 
 _THETA_ALIASES = {"exact": THETA_EXACT, "paper": THETA_APPROX, "paper-approx": THETA_APPROX}
+# Enum ``.value`` is a descriptor call; rows look their labels up here instead.
+_CASE_LABELS = {case: case.value for case in CollisionCase}
+# The engines take N through float arithmetic; 2**1023 is the largest that fits.
+_MAX_LOG2_N = sys.float_info.max_exp - 1
 
 
 class ConfigError(ValueError):
@@ -96,9 +100,11 @@ class ScenarioConfig:
                 params = SearchParams(self.n1, self.n2)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+            if params.n_total > sys.float_info.max:
+                raise ConfigError(f"N = n1 + n2 must not exceed the largest float, {sys.float_info.max!r}")
         if have_log2:
-            if self.log2_n < 1:
-                raise ConfigError(f"log2_n must be >= 1, got {self.log2_n}")
+            if not 1 <= self.log2_n <= _MAX_LOG2_N:
+                raise ConfigError(f"log2_n must be in [1, {_MAX_LOG2_N}], got {self.log2_n}")
             n_total = 2**self.log2_n
             n2 = 1 if self.marked_count is None else self.marked_count
             if not 1 <= n2 < n_total:
@@ -125,9 +131,9 @@ class ScenarioConfig:
         return int(self.iterations)
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
-    """Joint per-iteration record across the engines."""
+class TrajectoryRow(NamedTuple):
+    """Joint per-iteration record across the engines: one CSV line, fields in
+    ``TRAJECTORY_HEADER`` order. A NamedTuple, so ``dataclasses`` helpers do not apply."""
 
     n: int
     a_n: float
@@ -193,19 +199,10 @@ def _trajectory(
             u, v = scale * a, scale * b
         elif engine == ENGINE_COLLISION:
             a, b = u / scale, v / scale
-        rows.append(
-            TrajectoryRow(
-                n=n,
-                a_n=a,
-                b_n=b,
-                p_marked=n2 * b * b,
-                u_n=u,
-                v_n=v,
-                energy_fraction_ball2=(0.5 * n2 * v * v) / total_energy,
-                case_label=classify_case(u, v).value,
-                regime=regime,
-            )
-        )
+        # A NamedTuple built by position, in TRAJECTORY_HEADER column order.
+        energy_fraction = (0.5 * n2 * v * v) / total_energy
+        label = _CASE_LABELS[classify_case(u, v)]
+        rows.append(TrajectoryRow(n, a, b, n2 * b * b, u, v, energy_fraction, label, regime))
     return rows
 
 
@@ -224,6 +221,8 @@ def run_sweep(
         raise ConfigError(f"log2 range is empty: [{n_min_log2}, {n_max_log2}]")
     if n_min_log2 < 1:
         raise ConfigError(f"n_min_log2 must be >= 1, got {n_min_log2}")
+    if n_max_log2 > _MAX_LOG2_N:
+        raise ConfigError(f"n_max_log2 must be <= {_MAX_LOG2_N} (the float range), got {n_max_log2}")
     if not 1 <= n2 < 2**n_min_log2:
         raise ConfigError(f"n2 must be in [1, {2**n_min_log2 - 1}], got {n2}")
     theta_mode = config.theta_mode if config is not None else THETA_EXACT

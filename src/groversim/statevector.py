@@ -209,7 +209,8 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> list[int]:
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    cdf = np.cumsum(state.amplitudes * state.amplitudes)
+    cdf = np.square(state.amplitudes)
+    np.cumsum(cdf, out=cdf)  # in place: a second fresh N-length buffer costs page faults
     cdf /= cdf[-1]
     keys = np.random.default_rng(seed).random(draws)
     order = np.argsort(keys)

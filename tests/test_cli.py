@@ -155,6 +155,32 @@ def test_out_of_range_numbers_are_config_errors(capsys, argv, message):
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("search", "--log2-n", "1030"), "log2_n must be in [1, 1023], got 1030"),
+        (("collide", "--n1", str(2**1024), "--n2", "1"), "N = n1 + n2 must not exceed"),
+        (("compare", "--log2-n", "1024"), "log2_n must be in [1, 1023], got 1024"),
+        (
+            ("sweep", "--log2-min", "1030", "--log2-max", "1031", "--n2", "1"),
+            "log2_n must be in [1, 1023], got 1030",
+        ),
+        (
+            ("sweep", "--log2-min", "1", "--log2-max", "1030", "--n2", "1"),
+            "n_max_log2 must be <= 1023",
+        ),
+    ],
+    ids=["search", "collide", "compare", "sweep-whole-range", "sweep-upper-end"],
+)
+def test_sizes_past_the_float_range_are_config_errors(capsys, argv, message):
+    # Every engine takes N through float arithmetic; past the largest float
+    # it used to fail with exit 1 ("int too large to convert to float").
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and message in err
+
+
 def test_speeds_at_the_edges_of_the_energy_range_give_finite_output(capsys):
     # The largest and smallest speeds whose total energy 0.5*N*v**2 at
     # N = 16 is a normal float; every value written must be finite.

@@ -1,11 +1,13 @@
 """Scenario configs, trajectory/sweep assembly, CSV formatting."""
 
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
 from groversim import (
+    CollisionCase,
     ConfigError,
     ProtocolWarning,
     ScenarioConfig,
@@ -23,6 +25,7 @@ from groversim import (
     verify_analogy,
 )
 from groversim.harness import (
+    _CASE_LABELS,
     ENGINE_ANALYTIC,
     ENGINE_BOTH,
     ENGINE_COLLISION,
@@ -70,6 +73,22 @@ def test_missing_or_partial_sizing_fails():
         ScenarioConfig(n1=3).resolved_params()
     with pytest.raises(ConfigError):
         ScenarioConfig(log2_n=2, marked_count=4).resolved_params()
+
+
+def test_sizes_past_the_float_range_are_rejected():
+    largest = int(sys.float_info.max)
+    assert ScenarioConfig(log2_n=1023).resolved_params().n_total == 2**1023
+    assert ScenarioConfig(n1=largest - 1, n2=1).resolved_params().n_total == largest
+    for config in (
+        ScenarioConfig(log2_n=1024),
+        ScenarioConfig(log2_n=10**12),  # rejected before 2**log2_n is computed
+        ScenarioConfig(n1=largest, n2=1),
+    ):
+        with pytest.raises(ConfigError):
+            config.resolved_params()
+    assert run_sweep(1021, 1023, 1)[-1].n_total == 2**1023
+    with pytest.raises(ConfigError, match="n_max_log2"):
+        run_sweep(1, 1024, 1)
 
 
 def test_validate_rejects_bad_values():
@@ -183,6 +202,24 @@ def test_row_invariants():
         assert row.p_marked == pytest.approx(4 * row.b_n**2, abs=1e-12)
         assert -1e-12 <= row.energy_fraction_ball2 <= 1.0 + 1e-12
         assert row.regime == "boundary"
+
+
+def test_row_fields_are_the_csv_columns():
+    assert ",".join(TrajectoryRow._fields) == TRAJECTORY_HEADER
+
+
+def test_rows_are_immutable_and_built_by_keyword_or_position():
+    values = (3, 0.25, -0.5, 0.75, 1.5, -2.0, 0.5, "opposite", "efficient")
+    row = TrajectoryRow(*values)
+    assert row == TrajectoryRow(**dict(zip(TrajectoryRow._fields, values)))
+    assert hash(row) == hash(TrajectoryRow(*values))
+    assert row.case_label == "opposite" and row.v_n == -2.0
+    with pytest.raises(AttributeError):
+        row.a_n = 1.0
+
+
+def test_case_label_table_covers_every_collision_case():
+    assert _CASE_LABELS == {case: case.value for case in CollisionCase}
 
 
 def test_run_search_rejects_unknown_engine():

@@ -424,6 +424,19 @@ def test_measure_sample_matches_searching_each_draw_on_its_own(
     assert measure_sample(state, sample_seed, draws) == expected
 
 
+def test_measure_sample_at_two_to_the_twenty_matches_the_plain_reference():
+    # The in-place CDF must give the picks of the textbook two-buffer one.
+    n = 2**20
+    rng = np.random.default_rng(11)
+    amps = rng.standard_normal(n)
+    amps /= np.sqrt(fsum((amps * amps).tolist()))
+    state = StateVector(amps, rng.choice(n, size=17, replace=False))
+    cdf = np.cumsum(amps * amps)
+    keys = np.random.default_rng(5).random(4000)
+    expected = np.searchsorted(cdf / cdf[-1], keys, side="right").tolist()
+    assert measure_sample(state, 5, 4000) == expected
+
+
 def test_measure_sample_is_deterministic_on_point_mass():
     state = StateVector([0.0, 0.0, 0.0, 1.0], {3})
     assert measure_sample(state, seed=1, draws=50) == [3] * 50
