@@ -107,6 +107,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # Checked here, not only in run_sweep, so the messages name the flags and
+    # come before the placeholder below is validated.
+    if not 1 <= args.log2_min <= args.log2_max:
+        raise ConfigError(
+            f"--log2-min must be in [1, --log2-max {args.log2_max}], got {args.log2_min}"
+        )
+    if args.log2_max > harness.MAX_LOG2_N:
+        raise ConfigError(
+            f"--log2-max must be <= {harness.MAX_LOG2_N} (the float range), got {args.log2_max}"
+        )
+    # Sweep sizing is taken from --n2/--marked-count; a full instance spec is
+    # not required, so fill a placeholder N before generic validation.
+    if args.n1 is None and args.log2_n is None:
+        args.log2_n = args.log2_min
     config = _config_from_args(args)
     n2 = config.n2 if config.n2 is not None else (config.marked_count or 1)
     rows = harness.run_sweep(args.log2_min, args.log2_max, n2, config)
@@ -151,12 +165,6 @@ _shared_parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
-
-    # Sweep sizing is taken from --n2/--marked-count; a full instance spec is
-    # not required, so fill a placeholder n1 before generic validation.
-    if args.command == "sweep" and args.n1 is None and args.log2_n is None:
-        args.log2_n = max(1, args.log2_min)
-
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -36,7 +36,7 @@ _THETA_ALIASES = {"exact": THETA_EXACT, "paper": THETA_APPROX, "paper-approx": T
 # Enum ``.value`` is a descriptor call; rows look their labels up here instead.
 _CASE_LABELS = {case: case.value for case in CollisionCase}
 # The engines take N through float arithmetic; 2**1023 is the largest that fits.
-_MAX_LOG2_N = sys.float_info.max_exp - 1
+MAX_LOG2_N = sys.float_info.max_exp - 1
 
 
 class ConfigError(ValueError):
@@ -103,8 +103,8 @@ class ScenarioConfig:
             if params.n_total > sys.float_info.max:
                 raise ConfigError(f"N = n1 + n2 must not exceed the largest float, {sys.float_info.max!r}")
         if have_log2:
-            if not 1 <= self.log2_n <= _MAX_LOG2_N:
-                raise ConfigError(f"log2_n must be in [1, {_MAX_LOG2_N}], got {self.log2_n}")
+            if not 1 <= self.log2_n <= MAX_LOG2_N:
+                raise ConfigError(f"log2_n must be in [1, {MAX_LOG2_N}], got {self.log2_n}")
             n_total = 2**self.log2_n
             n2 = 1 if self.marked_count is None else self.marked_count
             if not 1 <= n2 < n_total:
@@ -221,8 +221,8 @@ def run_sweep(
         raise ConfigError(f"log2 range is empty: [{n_min_log2}, {n_max_log2}]")
     if n_min_log2 < 1:
         raise ConfigError(f"n_min_log2 must be >= 1, got {n_min_log2}")
-    if n_max_log2 > _MAX_LOG2_N:
-        raise ConfigError(f"n_max_log2 must be <= {_MAX_LOG2_N} (the float range), got {n_max_log2}")
+    if n_max_log2 > MAX_LOG2_N:
+        raise ConfigError(f"n_max_log2 must be <= {MAX_LOG2_N} (the float range), got {n_max_log2}")
     if not 1 <= n2 < 2**n_min_log2:
         raise ConfigError(f"n2 must be in [1, {2**n_min_log2 - 1}], got {n2}")
     theta_mode = config.theta_mode if config is not None else THETA_EXACT

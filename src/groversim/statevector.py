@@ -12,6 +12,13 @@ O(N); the N x N diffusion matrix is never materialised.
 invariant subspace spanned by the unmarked and marked means, so ``count``
 iterations of any state cost O(N + n2 + count), not O(count * N).
 
+``measure_sample`` is seeded inverse-CDF sampling. It draws its keys in
+fixed chunks, so it holds no array as long as the draws besides the picks.
+When the draws are many next to N it finds each pick through a guide table
+(Chen & Asau 1974; Devroye 1986, section III.2) of about 2N bucket bounds,
+with neither a sort nor a binary search over the whole CDF; otherwise it
+searches the CDF for each key, since the O(N) table would not pay.
+
 Invariants are checked when a state is built from caller input; the
 kernels, two reflections, keep them by construction. Operations never mutate
 their input, so states can be shared freely across threads.
@@ -19,8 +26,9 @@ their input, so states can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 
 import numpy as np
 
@@ -28,6 +36,11 @@ from .params import SearchParams
 
 NORM_TOL = 1e-12
 _SQUARES_BLOCK = 256
+# Keys drawn per chunk: enough to spread numpy's per-call cost, few enough
+# to stay in cache and leave peak memory flat.
+_KEY_CHUNK = 1 << 14
+# A guide table, O(N) to build, is used once draws * _TABLE_RATIO >= N.
+_TABLE_RATIO = 16
 
 
 def _sum_of_squares(x: np.ndarray) -> float:
@@ -49,7 +62,7 @@ def _marked_indices(marked, n_total: int) -> np.ndarray:
     if not isinstance(marked, Collection):
         marked = list(marked)  # read a second time if an index overflows intp
     try:
-        idx = np.fromiter(map(int, marked), dtype=np.intp)
+        idx = np.fromiter(marked, dtype=np.intp)
     except OverflowError:  # beyond intp, so out of range too
         idx = None
     else:
@@ -196,26 +209,75 @@ def marked_probability(state: StateVector) -> float:
     return _sum_of_squares(state.amplitudes[state._marked_idx])
 
 
+def _guide_table_search(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``np.searchsorted(cdf, keys, side="right")`` for keys in [0, 1) and a
+    sorted ``cdf`` that ends at exactly 1.0, through a guide table.
+
+    With ``m`` the power of two in (N, 2N], ``guide[j]`` counts the CDF values
+    ``<= j/m``. Scaling by ``m`` is exact, so ``b = floor(key*m)`` gives
+    ``b/m <= key < (b+1)/m`` and the pick lies in ``[guide[b], guide[b+1]]``.
+    Where the two bounds are equal that is the pick; the other keys are
+    settled by bisection on the same ``cdf[i] <= key`` comparison, one round
+    per bit of the widest bucket they fall in.
+    """
+    m = 1 << cdf.size.bit_length()
+    buckets = cdf * m
+    np.ceil(buckets, out=buckets)  # cdf[i] <= j/m exactly when this is <= j
+    guide = np.bincount(buckets.astype(np.intp), minlength=m + 1)
+    np.cumsum(guide, out=guide)
+
+    def search(keys: np.ndarray) -> np.ndarray:
+        b = (keys * m).astype(np.intp)
+        lo = guide[b]
+        b += 1
+        hi = guide[b]
+        todo = np.flatnonzero(lo < hi)
+        if todo.size:
+            # cdf[i] <= key below left and > key from right on. A settled
+            # key (left == right) stays put: there cdf[mid] > key.
+            left, right, k = lo[todo], hi[todo], keys[todo]
+            for _ in range(int((right - left).max()).bit_length()):
+                mid = (left + right) >> 1
+                above = cdf[mid] <= k
+                left = np.where(above, mid + 1, left)
+                right = np.where(above, right, mid)
+            lo[todo] = left
+        return lo
+
+    return search
+
+
+def _draw_indices(amplitudes: np.ndarray, seed: int, draws: int) -> np.ndarray:
+    """The picks of ``measure_sample`` as an array; every other array it
+    builds is freed when it returns."""
+    cdf = np.square(amplitudes)
+    np.cumsum(cdf, out=cdf)  # in place: a second fresh N-length buffer costs page faults
+    cdf /= cdf[-1]
+    if draws * _TABLE_RATIO < cdf.size:
+        search = functools.partial(np.searchsorted, cdf, side="right")
+    else:
+        search = _guide_table_search(cdf)
+    rng = np.random.default_rng(seed)
+    picks = np.empty(draws, dtype=np.intp)
+    for start in range(0, draws, _KEY_CHUNK):
+        keys = rng.random(min(_KEY_CHUNK, draws - start))
+        picks[start : start + keys.size] = search(keys)
+    return picks
+
+
 def measure_sample(state: StateVector, seed: int, draws: int) -> list[int]:
     """Draw basis-state indices with probability amplitude**2 each.
 
     Inverse-CDF sampling over the squared amplitudes, driven by numpy's
     seeded PCG64 stream, so a fixed seed reproduces the same draws on any
     platform. Draw j is the first index whose CDF value exceeds key j, the
-    j-th uniform from the stream. The keys are searched in sorted order,
-    which walks the CDF once instead of jumping across it at random, and
-    the picks are scattered back into draw order, so the result is the same
-    as searching each key on its own.
+    j-th uniform from the stream. The keys are drawn 2^14 at a time, which
+    gives the same stream as one call, so no array as long as the draws
+    exists besides the picks. With at least N/16 draws each chunk is looked
+    up in a guide table that costs O(N) to build (see
+    ``_guide_table_search``); with fewer, each key is searched in the CDF.
+    Both give exactly the picks of searching each key on its own.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    cdf = np.square(state.amplitudes)
-    np.cumsum(cdf, out=cdf)  # in place: a second fresh N-length buffer costs page faults
-    cdf /= cdf[-1]
-    keys = np.random.default_rng(seed).random(draws)
-    order = np.argsort(keys)
-    keys = keys[order]
-    picks = np.empty(draws, dtype=np.intp)
-    picks[order] = np.searchsorted(cdf, keys, side="right")
-    del keys, order  # free them before the list of picks is built
-    return picks.tolist()
+    return _draw_indices(state.amplitudes, seed, draws).tolist()

@@ -163,14 +163,18 @@ def test_out_of_range_numbers_are_config_errors(capsys, argv, message):
         (("compare", "--log2-n", "1024"), "log2_n must be in [1, 1023], got 1024"),
         (
             ("sweep", "--log2-min", "1030", "--log2-max", "1031", "--n2", "1"),
-            "log2_n must be in [1, 1023], got 1030",
+            "--log2-max must be <= 1023 (the float range), got 1031",
         ),
         (
             ("sweep", "--log2-min", "1", "--log2-max", "1030", "--n2", "1"),
-            "n_max_log2 must be <= 1023",
+            "--log2-max must be <= 1023 (the float range), got 1030",
+        ),
+        (
+            ("sweep", "--log2-min", "1030", "--log2-max", "5", "--n2", "1"),
+            "--log2-min must be in [1, --log2-max 5], got 1030",
         ),
     ],
-    ids=["search", "collide", "compare", "sweep-whole-range", "sweep-upper-end"],
+    ids=["search", "collide", "compare", "sweep-whole-range", "sweep-upper-end", "sweep-reversed"],
 )
 def test_sizes_past_the_float_range_are_config_errors(capsys, argv, message):
     # Every engine takes N through float arithmetic; past the largest float
@@ -179,6 +183,15 @@ def test_sizes_past_the_float_range_are_config_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert "config error" in err and message in err
+
+
+def test_sweep_below_the_smallest_size_names_the_flag(capsys):
+    # The sweep fills a placeholder size from --log2-min; its range errors
+    # must name the sweep's own flags, not log2_n or run_sweep's arguments.
+    code, out, err = run_cli(capsys, "sweep", "--log2-min", "0", "--log2-max", "3", "--n2", "1")
+    assert code == 2
+    assert out == ""
+    assert "config error: --log2-min must be in [1, --log2-max 3], got 0" in err
 
 
 def test_speeds_at_the_edges_of_the_energy_range_give_finite_output(capsys):

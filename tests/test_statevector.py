@@ -2,12 +2,14 @@
 
 import math
 import re
+import tracemalloc
 from math import fsum, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from groversim import statevector
 from groversim import (
     SearchParams,
     StateVector,
@@ -393,34 +395,49 @@ def test_marked_probability_after_three_iterations_n16():
     assert math.sin(7 * math.asin(0.25)) ** 2 == pytest.approx(expected, abs=1e-15)
 
 
+CHUNK = statevector._KEY_CHUNK
+
+
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=2, max_value=300),
-    st.sampled_from(["random", "with-zeros", "point-mass"]),
+    st.sampled_from(["random", "with-zeros", "zero-runs", "point-mass"]),
     st.integers(min_value=0, max_value=2**63 - 1),
     st.one_of(st.just(1), st.integers(min_value=1, max_value=3000)),
 )
+# Either side of the path choice: 18 * 16 < 300 searches each key, 19 takes the table.
+@example(state_seed=1, n=300, kind="random", sample_seed=2, draws=18)
+@example(state_seed=1, n=300, kind="random", sample_seed=2, draws=19)
+# One chunk less one, exactly one chunk, and several with a ragged last chunk.
+@example(state_seed=3, n=257, kind="with-zeros", sample_seed=4, draws=CHUNK - 1)
+@example(state_seed=3, n=257, kind="random", sample_seed=4, draws=CHUNK)
+@example(state_seed=5, n=300, kind="zero-runs", sample_seed=6, draws=3 * CHUNK + 7)
 def test_measure_sample_matches_searching_each_draw_on_its_own(
     state_seed, n, kind, sample_seed, draws
 ):
-    """The sorted-key search returns, in draw order, the picks of searching
-    every uniform key of the seeded stream on its own, exactly-zero
-    amplitudes (tied CDF values) and point masses included."""
+    """The picks, in draw order, are those of searching every uniform key of
+    the seeded stream on its own, on the guide-table path and the plain one,
+    with exactly-zero amplitudes (tied CDF values), long zero runs that put
+    many CDF values in one bucket, and point masses."""
     rng = np.random.default_rng(state_seed)
     if kind == "point-mass":
         amps = np.zeros(n)
         amps[rng.integers(n)] = rng.choice([-1.0, 1.0])
+    elif kind == "zero-runs":
+        amps = np.zeros(n)
+        amps[rng.choice(n, size=min(n, 4), replace=False)] = rng.standard_normal(min(n, 4))
+        amps[rng.integers(n)] = 1.0
     else:
         amps = rng.standard_normal(n)
         if kind == "with-zeros":
             amps[rng.random(n) < 0.6] = 0.0
             amps[rng.integers(n)] = 1.0
-        amps /= np.sqrt(fsum((amps * amps).tolist()))
+    amps /= np.sqrt(fsum((amps * amps).tolist()))
     state = StateVector(amps, {0})
     cdf = np.cumsum(state.amplitudes * state.amplitudes)
     cdf /= cdf[-1]
     keys = np.random.default_rng(sample_seed).random(draws)
-    expected = np.searchsorted(cdf, keys, side="right").tolist()
+    expected = [int(np.searchsorted(cdf, key, side="right")) for key in keys]
     assert measure_sample(state, sample_seed, draws) == expected
 
 
@@ -435,6 +452,21 @@ def test_measure_sample_at_two_to_the_twenty_matches_the_plain_reference():
     keys = np.random.default_rng(5).random(4000)
     expected = np.searchsorted(cdf / cdf[-1], keys, side="right").tolist()
     assert measure_sample(state, 5, 4000) == expected
+
+
+def test_measure_sample_peak_memory_beside_the_picks_is_bounded():
+    # Apart from the returned list, sampling may hold the picks as an array
+    # (8 bytes a draw) and O(N) tables, never a second draws-long array.
+    n, draws = 2**18, 10**6
+    state = grover_iterate(init_uniform(SearchParams(n - 1024, 1024), range(0, n, 256)), 3)
+    tracemalloc.start()
+    try:
+        picks = measure_sample(state, 9, draws)
+        listed, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(picks) == draws
+    assert peak - listed <= 8 * draws + 64 * n
 
 
 def test_measure_sample_is_deterministic_on_point_mass():
