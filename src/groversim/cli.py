@@ -106,7 +106,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+# Common options that size or run one instance; a sweep would ignore them.
+_NOT_FOR_SWEEP = ("n1", "log2_n", "iterations", "v_init", "seed", "statevector_cap")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    for key in _NOT_FOR_SWEEP:
+        if getattr(args, key) is not None:
+            raise ConfigError(
+                f"sweep does not take --{key.replace('_', '-')}; it sizes each row from "
+                "--log2-min/--log2-max and --n2 or --marked-count"
+            )
     # Checked here, not only in run_sweep, so the messages name the flags and
     # come before the placeholder below is validated.
     if not 1 <= args.log2_min <= args.log2_max:
@@ -119,8 +129,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     # Sweep sizing is taken from --n2/--marked-count; a full instance spec is
     # not required, so fill a placeholder N before generic validation.
-    if args.n1 is None and args.log2_n is None:
-        args.log2_n = args.log2_min
+    args.log2_n = args.log2_min
     config = _config_from_args(args)
     n2 = config.n2 if config.n2 is not None else (config.marked_count or 1)
     rows = harness.run_sweep(args.log2_min, args.log2_max, n2, config)

@@ -14,10 +14,15 @@ iterations of any state cost O(N + n2 + count), not O(count * N).
 
 ``measure_sample`` is seeded inverse-CDF sampling. It draws its keys in
 fixed chunks, so it holds no array as long as the draws besides the picks.
-When the draws are many next to N it finds each pick through a guide table
-(Chen & Asau 1974; Devroye 1986, section III.2) of about 2N bucket bounds,
-with neither a sort nor a binary search over the whole CDF; otherwise it
-searches the CDF for each key, since the O(N) table would not pay.
+How it finds each pick depends on the draws next to N. With at most N/256
+draws it sums the squares in blocks and rebuilds the running sum only in the
+blocks the keys hit; the a-priori error bound of recursive summation
+(Higham 2002, section 4.2) proves each pick equal to the exact one, and a
+key it cannot prove is searched in the exact CDF. With at least N/16 draws
+it finds each pick through a guide table (Chen & Asau 1974; Devroye 1986,
+section III.2) of about 2N bucket bounds, with neither a sort nor a binary
+search over the whole CDF. In between it searches the exact CDF for each
+key, since neither the table nor the block sums would pay.
 
 Invariants are checked when a state is built from caller input; the
 kernels, two reflections, keep them by construction. Operations never mutate
@@ -41,6 +46,8 @@ _SQUARES_BLOCK = 256
 _KEY_CHUNK = 1 << 14
 # A guide table, O(N) to build, is used once draws * _TABLE_RATIO >= N.
 _TABLE_RATIO = 16
+# Block sums replace the sequential running sum once draws * _BLOCK_RATIO <= N.
+_BLOCK_RATIO = 256
 
 
 def _sum_of_squares(x: np.ndarray) -> float:
@@ -247,16 +254,105 @@ def _guide_table_search(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return search
 
 
-def _draw_indices(amplitudes: np.ndarray, seed: int, draws: int) -> np.ndarray:
-    """The picks of ``measure_sample`` as an array; every other array it
-    builds is freed when it returns."""
+def _cdf(amplitudes: np.ndarray) -> np.ndarray:
+    """The sampling CDF: the running sum of the squares, divided by its last
+    value so that it ends at exactly 1.0."""
     cdf = np.square(amplitudes)
     np.cumsum(cdf, out=cdf)  # in place: a second fresh N-length buffer costs page faults
     cdf /= cdf[-1]
-    if draws * _TABLE_RATIO < cdf.size:
-        search = functools.partial(np.searchsorted, cdf, side="right")
+    return cdf
+
+
+def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``np.searchsorted(_cdf(amplitudes), keys, side="right")`` for keys in
+    [0, 1), proven from block sums instead of the N-long running sum.
+
+    The squares are summed in blocks of ``width``, a power of two near
+    sqrt(N/draws), and the block sums are run up into ``prefix``. For each
+    key the block holding ``target = key * total`` is found in ``prefix``,
+    the running sum is rebuilt inside that block only, and the candidate
+    pick ``p`` is the first index there whose sum exceeds ``target``.
+
+    The CDF value at i is c_i / T, where c_i is the running sum of the
+    rounded squares and T = c_{N-1}. Each of c_i, T, a rebuilt sum and
+    ``total`` is the sum of the exact squares with every term off by a
+    factor within 1 +- gamma_K (Higham 2002, section 4.2 and lemma 3.1),
+    whatever the order of the additions and whether einsum rounds or fuses
+    its products; squares that underflow add at most 2**-1075 each.
+    ``rounds`` (K) counts the roundings on the way to one comparison: N each
+    for c_i and T, 2*width + blocks for a rebuilt sum, width + blocks for
+    ``total``, a few for the product, the quotient and the band, and spare.
+    With ``delta = 2*K*2**-53 >= gamma_K`` and ``alpha`` twice the summed
+    underflow, a rebuilt sum below ``target*(1 - delta) - alpha`` proves its
+    CDF value ``<= key`` and one above ``target*(1 + delta) + alpha`` proves
+    it ``> key``. The CDF is non-decreasing, so proving the sums just before
+    and at ``p`` proves ``p`` exact: a floating-point filter with an exact
+    fallback (Shewchuk 1997).
+
+    A key that is not proven, because a neighbouring sum lies in the band or
+    ``p`` would leave the rebuilt block, is searched in the exact CDF, built
+    on first need and kept for the later chunks.
+    """
+    n = amplitudes.size
+    width = 1 << min(max((n // draws).bit_length() // 2, 3), 8)
+    cut = n - n % width
+    blocks = amplitudes[:cut].reshape(-1, width)
+    sums = np.einsum("ij,ij->i", blocks, blocks)
+    if cut < n:  # the ragged tail is one more, shorter, block
+        tail = amplitudes[cut:]
+        sums = np.append(sums, np.einsum("i,i->", tail, tail))
+    prefix = np.cumsum(sums)
+    before = np.concatenate(([0.0], prefix[:-1]))  # the sum ahead of each block
+    total = prefix[-1]
+    rounds = 2 * n + 3 * width + 2 * prefix.size + 16
+    delta = 2 * rounds * 2.0**-53
+    alpha = (4 * n + 32) * 2.0**-1074
+    offsets = np.arange(width)
+    cdf = None
+
+    def search(keys: np.ndarray) -> np.ndarray:
+        nonlocal cdf
+        target = keys * total
+        block = np.searchsorted(prefix, target, side="right")
+        np.minimum(block, prefix.size - 1, out=block)
+        start = block * width
+        # running[k, r]: the sum up to index start + r - 1. Indices past N in
+        # a ragged last block repeat the last amplitude, so their sums are at
+        # least the one at N - 1. That one is within the error bound of
+        # total >= target, so never below the band: no pick past N - 1 is
+        # proven.
+        running = np.empty((keys.size, width + 1))
+        running[:, 0] = before[block]
+        np.square(amplitudes.take(start[:, None] + offsets, mode="clip"), out=running[:, 1:])
+        np.cumsum(running, axis=1, out=running)
+        r = np.count_nonzero(running[:, 1:] <= target[:, None], axis=1)
+        rows = np.arange(keys.size)
+        # r == width leaves the block; the sum compared above is then its
+        # last one, which is <= target, so the key is not proven.
+        proven = (running[rows, r] < target * (1.0 - delta) - alpha) & (
+            running[rows, np.minimum(r + 1, width)] > target * (1.0 + delta) + alpha
+        )
+        picks = start + r
+        unproven = np.flatnonzero(~proven)
+        if unproven.size:
+            if cdf is None:
+                cdf = _cdf(amplitudes)
+            picks[unproven] = np.searchsorted(cdf, keys[unproven], side="right")
+        return picks
+
+    return search
+
+
+def _draw_indices(amplitudes: np.ndarray, seed: int, draws: int) -> np.ndarray:
+    """The picks of ``measure_sample`` as an array; every other array it
+    builds is freed when it returns."""
+    n = amplitudes.size
+    if draws * _BLOCK_RATIO <= n:
+        search = _block_search(amplitudes, draws)
+    elif draws * _TABLE_RATIO < n:
+        search = functools.partial(np.searchsorted, _cdf(amplitudes), side="right")
     else:
-        search = _guide_table_search(cdf)
+        search = _guide_table_search(_cdf(amplitudes))
     rng = np.random.default_rng(seed)
     picks = np.empty(draws, dtype=np.intp)
     for start in range(0, draws, _KEY_CHUNK):
@@ -271,12 +367,21 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> list[int]:
     Inverse-CDF sampling over the squared amplitudes, driven by numpy's
     seeded PCG64 stream, so a fixed seed reproduces the same draws on any
     platform. Draw j is the first index whose CDF value exceeds key j, the
-    j-th uniform from the stream. The keys are drawn 2^14 at a time, which
+    j-th uniform from the stream; the CDF is the running sum of the squares
+    divided by its last value. The keys are drawn 2^14 at a time, which
     gives the same stream as one call, so no array as long as the draws
-    exists besides the picks. With at least N/16 draws each chunk is looked
-    up in a guide table that costs O(N) to build (see
-    ``_guide_table_search``); with fewer, each key is searched in the CDF.
-    Both give exactly the picks of searching each key on its own.
+    exists besides the picks. Each chunk is looked up by one of three means:
+
+    - at most N/256 draws: block sums of the squares, with the running sum
+      rebuilt only in the blocks the keys hit. A pick is kept where the
+      rounding-error bound of those sums proves it exact; any other key is
+      searched in the exact CDF, built once on first need (see
+      ``_block_search``).
+    - at least N/16 draws: a guide table that costs O(N) to build (see
+      ``_guide_table_search``).
+    - in between: each key is searched in the exact CDF.
+
+    All three give exactly the picks of searching each key on its own.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")

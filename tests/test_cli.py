@@ -86,6 +86,40 @@ def test_sweep(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--n1", "100"),
+        ("--log2-n", "9"),
+        ("--iterations", "3"),
+        ("--v-init", "2.5"),
+        ("--seed", "4"),
+        ("--statevector-cap", "64"),
+    ],
+)
+def test_sweep_rejects_a_flag_it_would_ignore(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "sweep", "--log2-min", "2", "--log2-max", "4", "--n2", "1", flag, value
+    )
+    assert code == 2
+    assert out == ""
+    assert f"config error: sweep does not take {flag};" in err
+
+
+def test_sweep_keeps_its_own_sizing_output_and_scenario_flags(tmp_path, capsys):
+    _, by_n2, _ = run_cli(capsys, "sweep", "--log2-min", "3", "--log2-max", "6", "--n2", "3")
+    scenario = tmp_path / "s.cfg"
+    scenario.write_text("theta_mode=paper\n")
+    out_path = tmp_path / "sweep.csv"
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--log2-min", "3", "--log2-max", "6", "--marked-count", "3",
+        "--theta-mode", "exact", "--scenario", str(scenario), "--output", str(out_path),
+    )
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text() == by_n2
+
+
 def test_scenario_file_with_override(tmp_path, capsys):
     scenario = tmp_path / "s.cfg"
     scenario.write_text("n1=7\nn2=1\niterations=1\n")

@@ -34,6 +34,8 @@ GOLDEN = [
     ("search --log2-n 16 --draws 300 --seed 3", "17d1ffd5ba8cebf36bb062305ffc6b098e9940e79531772e5b2579b5f7d930b3"),
     # the guide table, over three chunks of keys, the last one ragged
     ("search --log2-n 12 --draws 40000 --seed 5", "f768a2e9c1b504dbcceb16991c34e54a34a03c0c305a107ee6cc904c84c881e9"),
+    # draws * 256 <= N: block sums; recorded from the exact CDF search
+    ("search --log2-n 18 --draws 256 --seed 7", "52681288ac1f78cd4806b014c49542db055ecc395255b8f7c493e546ce764c99"),
 ]
 
 

@@ -400,14 +400,22 @@ CHUNK = statevector._KEY_CHUNK
 
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=2, max_value=300),
+    st.one_of(st.integers(min_value=2, max_value=300), st.integers(min_value=2, max_value=2**13)),
     st.sampled_from(["random", "with-zeros", "zero-runs", "point-mass"]),
     st.integers(min_value=0, max_value=2**63 - 1),
-    st.one_of(st.just(1), st.integers(min_value=1, max_value=3000)),
+    st.one_of(
+        st.just(1), st.integers(min_value=1, max_value=32), st.integers(min_value=1, max_value=3000)
+    ),
 )
 # Either side of the path choice: 18 * 16 < 300 searches each key, 19 takes the table.
 @example(state_seed=1, n=300, kind="random", sample_seed=2, draws=18)
 @example(state_seed=1, n=300, kind="random", sample_seed=2, draws=19)
+# 16 * 256 == 4096 takes the block sums, 17 draws search each key.
+@example(state_seed=7, n=4096, kind="random", sample_seed=8, draws=16)
+@example(state_seed=7, n=4096, kind="random", sample_seed=8, draws=17)
+# Block sums over an N that is no multiple of the block width (32 here).
+@example(state_seed=9, n=5000, kind="point-mass", sample_seed=10, draws=3)
+@example(state_seed=9, n=5000, kind="zero-runs", sample_seed=10, draws=3)
 # One chunk less one, exactly one chunk, and several with a ragged last chunk.
 @example(state_seed=3, n=257, kind="with-zeros", sample_seed=4, draws=CHUNK - 1)
 @example(state_seed=3, n=257, kind="random", sample_seed=4, draws=CHUNK)
@@ -416,9 +424,9 @@ def test_measure_sample_matches_searching_each_draw_on_its_own(
     state_seed, n, kind, sample_seed, draws
 ):
     """The picks, in draw order, are those of searching every uniform key of
-    the seeded stream on its own, on the guide-table path and the plain one,
-    with exactly-zero amplitudes (tied CDF values), long zero runs that put
-    many CDF values in one bucket, and point masses."""
+    the seeded stream on its own, on the guide-table, plain and block-sum
+    paths, with exactly-zero amplitudes (tied CDF values), long zero runs
+    that put many CDF values in one bucket, and point masses."""
     rng = np.random.default_rng(state_seed)
     if kind == "point-mass":
         amps = np.zeros(n)
@@ -442,7 +450,9 @@ def test_measure_sample_matches_searching_each_draw_on_its_own(
 
 
 def test_measure_sample_at_two_to_the_twenty_matches_the_plain_reference():
-    # The in-place CDF must give the picks of the textbook two-buffer one.
+    # 4000 * 256 <= 2**20, so this takes the block sums; their picks, and
+    # the in-place CDF of any key they cannot prove, must give the picks of
+    # the textbook two-buffer CDF.
     n = 2**20
     rng = np.random.default_rng(11)
     amps = rng.standard_normal(n)
@@ -452,6 +462,58 @@ def test_measure_sample_at_two_to_the_twenty_matches_the_plain_reference():
     keys = np.random.default_rng(5).random(4000)
     expected = np.searchsorted(cdf / cdf[-1], keys, side="right").tolist()
     assert measure_sample(state, 5, 4000) == expected
+
+
+def _adversarial_states(n):
+    rng = np.random.default_rng(n)
+    uniform = np.full(n, 1.0 / sqrt(n))
+    # Two values: unmarked and marked amplitudes after two iterations.
+    grover = grover_iterate(init_uniform(SearchParams(n - 3, 3), {5, n // 2, n - 1}), 2).amplitudes
+    zero_runs = np.zeros(n)
+    zero_runs[[0, 1, n // 3, n - 2]] = rng.standard_normal(4)
+    # Squares that underflow to subnormals or to zero ahead of the mass, so
+    # the first CDF values are subnormal.
+    underflow = rng.choice([1e-155, 1e-160, 1e-165, 1e-170, 0.0], size=n)
+    underflow[[2 * n // 3, n - 5]] = (0.6, -0.8)
+    states = {"uniform": uniform, "grover": grover, "zero-runs": zero_runs, "underflow": underflow}
+    return {kind: amps / sqrt(fsum((amps * amps).tolist())) for kind, amps in states.items()}
+
+
+@pytest.mark.parametrize("n", [1000, 3001])  # block widths 32 and 64, ragged tails
+@pytest.mark.parametrize("kind", ["uniform", "grover", "zero-runs", "underflow"])
+def test_block_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypatch, n, kind):
+    """Keys equal to CDF values, one step either side of them, 0.0 and the
+    largest double below 1.0 lie inside the error band, so each must go to
+    the exact CDF and get its pick there. Keys halfway between CDF values
+    that differ enough are settled by the block sums alone."""
+    amps = _adversarial_states(n)[kind]
+    cdf = np.cumsum(amps * amps)
+    cdf /= cdf[-1]
+    # Both sides of the first block edges, the middle, and the ragged tail.
+    at = np.unique(np.r_[0, 1, 31, 32, 33, 63, 64, 65, n // 2, n - 70 : n - 1])
+    edges = np.r_[cdf[at], np.nextafter(cdf[at], 0.0), np.nextafter(cdf[at], 1.0), 0.0]
+    edges = np.r_[edges[edges < 1.0], np.nextafter(1.0, 0.0)]
+    gaps = (cdf[at] + cdf[at + 1]) / 2
+    keys = np.r_[edges, gaps]
+
+    def reference(k):
+        return [int(np.searchsorted(cdf, key, side="right")) for key in k]
+
+    builds, exact_cdf = [], statevector._cdf
+    monkeypatch.setattr(statevector, "_cdf", lambda a: builds.append(1) or exact_cdf(a))
+    # All the keys in one call, proven and unproven ones mixed.
+    assert statevector._block_search(amps, 1)(keys).tolist() == reference(keys)
+    assert len(builds) == 1
+    # Key by key, counting the keys that needed the exact CDF.
+    fell_back = []
+    for key in keys:
+        builds.clear()
+        assert statevector._block_search(amps, 1)(np.array([key])).tolist() == reference([key])
+        fell_back.append(bool(builds))
+    at_edges, in_gaps = np.split(np.array(fell_back), [edges.size])
+    assert at_edges.all()
+    wide = np.diff(cdf)[at] > 1e-6
+    assert wide.any() and not in_gaps[wide].any()
 
 
 def test_measure_sample_peak_memory_beside_the_picks_is_bounded():
