@@ -14,6 +14,7 @@ import argparse
 import functools
 import sys
 from collections import Counter
+from dataclasses import fields
 
 from . import harness
 from .harness import ConfigError, ScenarioConfig
@@ -29,7 +30,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--v-init", type=float, help="initial common speed (default 1.0)")
     parser.add_argument(
         "--theta-mode",
-        choices=["exact", "paper", "paper-approx"],
+        choices=list(harness.THETA_ALIASES),
         help="rotation angle: exact arcsin form, or the small-angle shortcut ('paper')",
     )
     parser.add_argument("--seed", type=int, help="seed for measurement sampling")
@@ -38,25 +39,23 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="key=value scenario file; flags override it")
 
 
-def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    file_values = harness.load_scenario(args.scenario) if args.scenario else None
-    cli_values = {
-        key: getattr(args, key)
-        for key in (
-            "n1",
-            "n2",
-            "log2_n",
-            "marked_count",
-            "iterations",
-            "v_init",
-            "theta_mode",
-            "seed",
-            "statevector_cap",
-            "output",
-        )
-        if getattr(args, key, None) is not None
+def _config_from_args(args: argparse.Namespace, refused: tuple[str, ...] = ()) -> ScenarioConfig:
+    """The scenario file's values overridden by the flags given; every config
+    field has the flag of the same name. A ``refused`` key, one that ``sweep``
+    would ignore, is an error wherever it is given, whatever its value."""
+    file_values = harness.load_scenario(args.scenario) if args.scenario else {}
+    flags = {
+        f.name: getattr(args, f.name)
+        for f in fields(ScenarioConfig)
+        if getattr(args, f.name) is not None
     }
-    return harness.build_config(file_values, harness.coerce_config_values(cli_values, "flags"))
+    for key in refused:
+        if key in file_values or key in flags:
+            raise ConfigError(
+                f"sweep does not take --{key.replace('_', '-')}; it sizes each row from "
+                "--log2-min/--log2-max and --n2 or --marked-count"
+            )
+    return harness.build_config(file_values, harness.coerce_config_values(flags, "flags"))
 
 
 def _write(text: str, output: str | None) -> None:
@@ -66,14 +65,13 @@ def _write(text: str, output: str | None) -> None:
         harness.emit_text(text, output)
 
 
-def _sample_comments(config: ScenarioConfig, draws: int) -> str:
+def _sample_comments(config: ScenarioConfig, iterations: int, draws: int) -> str:
     params = config.resolved_params()
     if params.n_total > config.statevector_cap:
         raise ConfigError(
             f"--draws needs the state vector, but N={params.n_total} exceeds the cap "
             f"{config.statevector_cap}"
         )
-    iterations = config.resolved_iterations(params)
     state = grover_iterate(init_uniform(params, range(params.n2)), iterations)
     counts = Counter(measure_sample(state, config.seed, draws))
     lines = [f"# sample_draws={draws} seed={config.seed} iterations={iterations}"]
@@ -86,7 +84,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     rows = harness.run_search(config, engine=harness.ENGINE_ANALYTIC)
     text = harness.format_trajectory_csv(rows)
     if args.draws:
-        text += _sample_comments(config, args.draws)
+        # The trajectory's last row is the resolved iteration count.
+        text += _sample_comments(config, rows[-1].n, args.draws)
     _write(text, config.output)
     return 0
 
@@ -111,14 +110,8 @@ _NOT_FOR_SWEEP = ("n1", "log2_n", "iterations", "v_init", "seed", "statevector_c
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    for key in _NOT_FOR_SWEEP:
-        if getattr(args, key) is not None:
-            raise ConfigError(
-                f"sweep does not take --{key.replace('_', '-')}; it sizes each row from "
-                "--log2-min/--log2-max and --n2 or --marked-count"
-            )
-    # Checked here, not only in run_sweep, so the messages name the flags and
-    # come before the placeholder below is validated.
+    config = _config_from_args(args, refused=_NOT_FOR_SWEEP)
+    # Checked here, not only in run_sweep, so the messages name the flags.
     if not 1 <= args.log2_min <= args.log2_max:
         raise ConfigError(
             f"--log2-min must be in [1, --log2-max {args.log2_max}], got {args.log2_min}"
@@ -127,11 +120,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--log2-max must be <= {harness.MAX_LOG2_N} (the float range), got {args.log2_max}"
         )
-    # Sweep sizing is taken from --n2/--marked-count; a full instance spec is
-    # not required, so fill a placeholder N before generic validation.
-    args.log2_n = args.log2_min
-    config = _config_from_args(args)
-    n2 = config.n2 if config.n2 is not None else (config.marked_count or 1)
+    sizes = {config.n2, config.marked_count} - {None}
+    if len(sizes) > 1:
+        raise ConfigError(f"marked_count={config.marked_count} contradicts n2={config.n2}")
+    n2 = sizes.pop() if sizes else 1
     rows = harness.run_sweep(args.log2_min, args.log2_max, n2, config)
     _write(harness.format_sweep_csv(rows), config.output)
     return 0

@@ -32,7 +32,7 @@ ENGINE_ANALYTIC = "analytic"
 ENGINE_COLLISION = "collision"
 ENGINE_BOTH = "both"
 
-_THETA_ALIASES = {"exact": THETA_EXACT, "paper": THETA_APPROX, "paper-approx": THETA_APPROX}
+THETA_ALIASES = {"exact": THETA_EXACT, "paper": THETA_APPROX, "paper-approx": THETA_APPROX}
 # Enum ``.value`` is a descriptor call; rows look their labels up here instead.
 _CASE_LABELS = {case: case.value for case in CollisionCase}
 # The engines take N through float arithmetic; 2**1023 is the largest that fits.
@@ -45,8 +45,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ScenarioConfig:
-    """One run's worth of knobs. Sizing comes either from (n1, n2) or from
-    (log2_n, marked_count); if both are given they must agree."""
+    """One run's worth of knobs. Sizing comes either from (n1, n2), always as
+    a pair, or from (log2_n, marked_count); if both are given they must agree."""
 
     n1: int | None = None
     n2: int | None = None
@@ -58,11 +58,9 @@ class ScenarioConfig:
     seed: int = 0
     statevector_cap: int = DEFAULT_STATEVECTOR_CAP
     output: str | None = None
-    format: str = "csv"
 
-    def validate(self) -> None:
-        if self.format != "csv":
-            raise ConfigError(f"unsupported output format {self.format!r}")
+    def validate(self) -> SearchParams:
+        """Check every value and return the instance the sizing resolves to."""
         if self.theta_mode not in (THETA_EXACT, THETA_APPROX):
             raise ConfigError(f"theta_mode must be 'exact' or 'paper', got {self.theta_mode!r}")
         if not self.v_init > 0:
@@ -79,20 +77,21 @@ class ScenarioConfig:
         # The total kinetic energy, as the collision engine computes it, must
         # be a normal float: an overflow turns the energy fractions into NaN,
         # and below the normal range they lose their precision or divide by 0.
-        n_total = self.resolved_params().n_total
-        energy = 0.5 * n_total * self.v_init * self.v_init
+        params = self.resolved_params()
+        energy = 0.5 * params.n_total * self.v_init * self.v_init
         if not sys.float_info.min <= energy <= sys.float_info.max:
             raise ConfigError(
                 f"v_init={self.v_init!r} puts the total kinetic energy 0.5*N*v_init**2 "
-                f"at N={n_total} outside the normal float range: {energy!r}"
+                f"at N={params.n_total} outside the normal float range: {energy!r}"
             )
+        return params
 
     def resolved_params(self) -> SearchParams:
-        have_counts = self.n1 is not None and self.n2 is not None
+        have_counts = self.n1 is not None
         have_log2 = self.log2_n is not None
+        if have_counts != (self.n2 is not None):
+            raise ConfigError("n1 and n2 must be given together")
         if not have_counts and not have_log2:
-            if self.n1 is not None or self.n2 is not None:
-                raise ConfigError("n1 and n2 must be given together")
             raise ConfigError("no sizing given: set n1/n2 or log2_n (with marked_count)")
         params: SearchParams | None = None
         if have_counts:
@@ -116,7 +115,7 @@ class ScenarioConfig:
                     f"but log2_n/marked_count give N={from_log2.n_total}, n2={from_log2.n2}"
                 )
             params = from_log2
-        elif self.marked_count is not None and params is not None and self.marked_count != params.n2:
+        elif self.marked_count is not None and self.marked_count != params.n2:
             raise ConfigError(
                 f"marked_count={self.marked_count} contradicts n2={params.n2}"
             )
@@ -168,8 +167,7 @@ def run_search(config: ScenarioConfig, engine: str = ENGINE_BOTH) -> list[Trajec
     """
     if engine not in (ENGINE_ANALYTIC, ENGINE_COLLISION, ENGINE_BOTH):
         raise ConfigError(f"unknown engine {engine!r}")
-    config.validate()
-    params = config.resolved_params()
+    params = config.validate()
     return _trajectory(params, config.v_init, config.resolved_iterations(params), engine)
 
 
@@ -212,11 +210,7 @@ def run_sweep(
     n2: int,
     config: ScenarioConfig | None = None,
 ) -> list[SweepRow]:
-    """One row per N = 2**k, k in [n_min_log2, n_max_log2], sorted by N.
-
-    Rows are independent of each other, so any execution order (or degree of
-    parallelism) assembles to the same output.
-    """
+    """One row per N = 2**k, k in [n_min_log2, n_max_log2], in order of N."""
     if n_min_log2 > n_max_log2:
         raise ConfigError(f"log2 range is empty: [{n_min_log2}, {n_max_log2}]")
     if n_min_log2 < 1:
@@ -241,7 +235,6 @@ def run_sweep(
                 regime=detect_regime(params).value,
             )
         )
-    rows.sort(key=lambda row: row.n_total)
     return rows
 
 
@@ -295,8 +288,7 @@ def run_compare(config: ScenarioConfig) -> tuple[list[TrajectoryRow], AnalogyRep
     ``verify_analogy`` does, so a zero-iteration run computes one row more
     than it returns.
     """
-    config.validate()
-    params = config.resolved_params()
+    params = config.validate()
     iterations = config.resolved_iterations(params)
     rows = _trajectory(params, config.v_init, max(1, iterations), ENGINE_BOTH)
     report = analogy_report(
@@ -350,9 +342,9 @@ def coerce_config_values(values: Mapping[str, object], source: str = "config") -
                 out[key] = value if value == "auto" else int(value)
             elif key == "theta_mode":
                 mode = str(value)
-                if mode not in _THETA_ALIASES:
+                if mode not in THETA_ALIASES:
                     raise ValueError(f"bad theta_mode {value!r}")
-                out[key] = _THETA_ALIASES[mode]
+                out[key] = THETA_ALIASES[mode]
             else:
                 out[key] = str(value)
         except (TypeError, ValueError) as exc:
@@ -364,10 +356,10 @@ def build_config(
     file_values: Mapping[str, object] | None = None,
     overrides: Mapping[str, object] | None = None,
 ) -> ScenarioConfig:
-    """Merge scenario-file values with CLI overrides (overrides win per key)."""
+    """Merge scenario-file values with CLI overrides (overrides win per key).
+    Nothing is checked: a run calls ``validate`` once on the result."""
     config = ScenarioConfig()
     for layer in (file_values, overrides):
         if layer:
             config = replace(config, **dict(layer))
-    config.validate()
     return config

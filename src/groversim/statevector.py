@@ -2,7 +2,7 @@
 
 The state is a length-N vector of real amplitudes plus the marked indices,
 stored once as a sorted array of distinct ``np.intp`` indices; their
-``frozenset`` is built only when read. One iteration applies the oracle
+``frozenset`` is built on each read. One iteration applies the oracle
 (sign flip on the marked amplitudes) followed by diffusion (reflection of
 every amplitude about the mean, "inversion about average").
 ``apply_oracle`` and ``apply_diffusion`` are the full-vector kernels, each
@@ -50,16 +50,23 @@ _TABLE_RATIO = 16
 _BLOCK_RATIO = 256
 
 
+def _block_squares(x: np.ndarray, width: int) -> tuple[np.ndarray, float]:
+    """The sums of x*x over each full block of ``width`` elements, and over
+    the ragged tail after them (0.0 when there is none)."""
+    cut = x.size - x.size % width
+    blocks = x[:cut].reshape(-1, width)
+    tail = x[cut:]
+    return np.einsum("ij,ij->i", blocks, blocks), np.einsum("i,i->", tail, tail)
+
+
 def _sum_of_squares(x: np.ndarray) -> float:
     """Sum of x*x without a BLAS dot product, which runs on OpenBLAS's thread
     pool and stalls when another process holds a core. einsum sums blocks of
     ``_SQUARES_BLOCK`` products and numpy's pairwise sum adds the block
     totals, which keeps the result within a few ulps of the exact sum and
     allocates only N/_SQUARES_BLOCK partial sums."""
-    cut = x.size - x.size % _SQUARES_BLOCK
-    blocks = x[:cut].reshape(-1, _SQUARES_BLOCK)
-    tail = x[cut:]
-    return float(np.einsum("ij,ij->i", blocks, blocks).sum() + np.einsum("i,i->", tail, tail))
+    sums, tail = _block_squares(x, _SQUARES_BLOCK)
+    return float(sums.sum() + tail)
 
 
 def _marked_indices(marked, n_total: int) -> np.ndarray:
@@ -96,12 +103,11 @@ class StateVector:
     a marked set that is a non-empty proper subset of the index range.
 
     The marked set is held once, as the sorted read-only ``np.intp`` array
-    ``_marked_idx`` that the kernels index with. ``marked`` builds its
-    ``frozenset`` on first read and caches it; two threads that race to fill
-    the cache build equal sets, so the race is harmless.
+    ``_marked_idx`` that the kernels index with. ``marked`` builds a new
+    ``frozenset`` from it on each read.
     """
 
-    __slots__ = ("amplitudes", "_marked_idx", "_marked")
+    __slots__ = ("amplitudes", "_marked_idx")
 
     def __init__(self, amplitudes, marked) -> None:
         amps = np.asarray(amplitudes, dtype=np.float64)
@@ -113,19 +119,16 @@ class StateVector:
             raise ValueError(f"amplitudes are not normalised: sum of squares = {norm!r}")
         self.amplitudes = amps
         self._marked_idx = idx
-        self._marked = None
 
     def _derive(self, amplitudes: np.ndarray) -> StateVector:
         """A state on this state's marked set, built without the checks."""
         state = object.__new__(StateVector)
-        state.amplitudes, state._marked_idx, state._marked = amplitudes, self._marked_idx, self._marked
+        state.amplitudes, state._marked_idx = amplitudes, self._marked_idx
         return state
 
     @property
     def marked(self) -> frozenset[int]:
-        if self._marked is None:
-            self._marked = frozenset(self._marked_idx.tolist())
-        return self._marked
+        return frozenset(self._marked_idx.tolist())
 
     @property
     def n_total(self) -> int:
@@ -295,12 +298,9 @@ def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], 
     """
     n = amplitudes.size
     width = 1 << min(max((n // draws).bit_length() // 2, 3), 8)
-    cut = n - n % width
-    blocks = amplitudes[:cut].reshape(-1, width)
-    sums = np.einsum("ij,ij->i", blocks, blocks)
-    if cut < n:  # the ragged tail is one more, shorter, block
-        tail = amplitudes[cut:]
-        sums = np.append(sums, np.einsum("i,i->", tail, tail))
+    sums, tail = _block_squares(amplitudes, width)
+    if n % width:  # the ragged tail is one more, shorter, block
+        sums = np.append(sums, tail)
     prefix = np.cumsum(sums)
     before = np.concatenate(([0.0], prefix[:-1]))  # the sum ahead of each block
     total = prefix[-1]

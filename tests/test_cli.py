@@ -3,7 +3,7 @@
 import pytest
 
 from groversim.cli import main
-from groversim.harness import TRAJECTORY_HEADER
+from groversim.harness import TRAJECTORY_HEADER, ScenarioConfig
 
 
 def run_cli(capsys, *argv):
@@ -97,13 +97,20 @@ def test_sweep(capsys):
         ("--statevector-cap", "64"),
     ],
 )
-def test_sweep_rejects_a_flag_it_would_ignore(capsys, flag, value):
-    code, out, err = run_cli(
-        capsys, "sweep", "--log2-min", "2", "--log2-max", "4", "--n2", "1", flag, value
-    )
-    assert code == 2
-    assert out == ""
-    assert f"config error: sweep does not take {flag};" in err
+def test_sweep_rejects_a_flag_it_would_ignore(tmp_path, capsys, flag, value):
+    # From a scenario file the key is given at its default where it has one:
+    # a key is refused for being given, whatever its value.
+    key = flag[2:].replace("-", "_")
+    default = getattr(ScenarioConfig(), key)
+    scenario = tmp_path / "s.cfg"
+    scenario.write_text(f"{key}={value if default is None else default}\n")
+    for given in ((flag, value), ("--scenario", str(scenario))):
+        code, out, err = run_cli(
+            capsys, "sweep", "--log2-min", "2", "--log2-max", "4", "--n2", "1", *given
+        )
+        assert code == 2
+        assert out == ""
+        assert f"config error: sweep does not take {flag};" in err
 
 
 def test_sweep_keeps_its_own_sizing_output_and_scenario_flags(tmp_path, capsys):
@@ -118,6 +125,11 @@ def test_sweep_keeps_its_own_sizing_output_and_scenario_flags(tmp_path, capsys):
     )
     assert (code, out, err) == (0, "", "")
     assert out_path.read_text() == by_n2
+    code, out, err = run_cli(
+        capsys, "sweep", "--log2-min", "3", "--log2-max", "6", "--n2", "1", "--marked-count", "3"
+    )
+    assert (code, out) == (2, "")
+    assert "config error: marked_count=3 contradicts n2=1" in err
 
 
 def test_scenario_file_with_override(tmp_path, capsys):
@@ -134,6 +146,11 @@ def test_missing_sizing_is_config_error(capsys):
     code, _, err = run_cli(capsys, "search")
     assert code == 2
     assert "config error" in err
+    # --n1/--n2 come as a pair, even alongside --log2-n.
+    for lone in (("--n2", "3"), ("--n1", "7")):
+        code, out, err = run_cli(capsys, "search", "--log2-n", "4", *lone)
+        assert (code, out) == (2, "")
+        assert "config error: n1 and n2 must be given together" in err
 
 
 def test_bad_scenario_file_is_config_error(tmp_path, capsys):

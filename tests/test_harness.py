@@ -73,6 +73,10 @@ def test_missing_or_partial_sizing_fails():
         ScenarioConfig(n1=3).resolved_params()
     with pytest.raises(ConfigError):
         ScenarioConfig(log2_n=2, marked_count=4).resolved_params()
+    # A lone n1 or n2 is refused even where log2_n sizes the instance.
+    for config in (ScenarioConfig(log2_n=4, n2=3), ScenarioConfig(log2_n=4, n1=7)):
+        with pytest.raises(ConfigError, match="n1 and n2 must be given together"):
+            config.resolved_params()
 
 
 def test_sizes_past_the_float_range_are_rejected():
@@ -100,8 +104,8 @@ def test_validate_rejects_bad_values():
         ScenarioConfig(n1=3, n2=1, iterations=-2).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(n1=3, n2=1, theta_mode="guess").validate()
-    with pytest.raises(ConfigError):
-        ScenarioConfig(n1=3, n2=1, format="json").validate()
+    with pytest.raises(ConfigError, match="unknown key 'format'"):
+        coerce_config_values({"format": "csv"}, source="test")
 
 
 def test_auto_iterations_resolve_without_warning_noise():
