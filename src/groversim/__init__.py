@@ -18,11 +18,9 @@ from .collisions import (
     CollisionSystem,
     IterationRecord,
     ProtocolWarning,
-    Regime,
     center_of_mass_velocity,
     classify_case,
     closed_form_velocities,
-    detect_regime,
     elastic_collide,
     first_iteration_general,
     from_params,
@@ -48,7 +46,7 @@ from .harness import (
     run_search,
     run_sweep,
 )
-from .params import RegimeWarning, SearchParams
+from .params import Regime, RegimeWarning, SearchParams, detect_regime
 from .statevector import (
     StateVector,
     apply_diffusion,

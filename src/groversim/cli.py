@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from collections import Counter
 from dataclasses import fields
 
@@ -79,7 +80,13 @@ def _sample_comments(config: ScenarioConfig, iterations: int, draws: int) -> str
     return "\n".join(lines) + "\n"
 
 
+# About 50 B a draw (the index array, the returned list and its ints): 0.8 GB.
+_MAX_DRAWS = 2**24
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
+    if not 0 <= args.draws <= _MAX_DRAWS:
+        raise ConfigError(f"--draws must be in [0, {_MAX_DRAWS}], got {args.draws}")
     config = _config_from_args(args)
     rows = harness.run_search(config, engine=harness.ENGINE_ANALYTIC)
     text = harness.format_trajectory_csv(rows)
@@ -164,8 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = functools.cache(build_parser)
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    # No source path or line, so stderr does not change when the code moves.
+    return f"groversim: warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
+    # Only the format changes: filters and ``showwarning`` stay the caller's.
+    default_format = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -174,6 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001  (CLI boundary: report, exit 1)
         print(f"groversim: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .params import SearchParams
+# Regime and detect_regime live in params; this module re-exports them.
+from .params import Regime, SearchParams, detect_regime  # noqa: F401
 from .twolevel import THETA_EXACT, rotation_angle
 
 
@@ -30,13 +31,6 @@ class CollisionCase(str, Enum):
     BOTH_RIGHTWARD = "both-rightward"
     OPPOSITE = "opposite"
     BOTH_LEFTWARD = "both-leftward"
-
-
-class Regime(str, Enum):
-    EFFICIENT = "efficient"
-    BOUNDARY = "boundary"
-    INEFFICIENT = "inefficient"
-    INVALID = "invalid"
 
 
 class ProtocolWarning(UserWarning):
@@ -194,20 +188,3 @@ def first_iteration_general(params: SearchParams, v_init: float) -> tuple[float,
     ratio = 4.0 * params.n2 / params.n_total
     return (1.0 - ratio) * v_init, (3.0 - ratio) * v_init
 
-
-def detect_regime(params: SearchParams) -> Regime:
-    """Efficiency regime of the instance.
-
-    efficient    n2 < N/4   (ball 1 keeps creeping rightward)
-    boundary     n2 = N/4   (one iteration transfers all energy)
-    inefficient  N/4 < n2 < N/2   (ball 1 reverses on the first iteration)
-    invalid      n2 >= N/2  (equal or heavier ball 2; the search fails)
-    """
-    n, n2 = params.n_total, params.n2
-    if 2 * n2 >= n:
-        return Regime.INVALID
-    if 4 * n2 < n:
-        return Regime.EFFICIENT
-    if 4 * n2 == n:
-        return Regime.BOUNDARY
-    return Regime.INEFFICIENT

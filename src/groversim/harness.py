@@ -3,23 +3,22 @@
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .collisions import CollisionCase, classify_case, detect_regime, elastic_collide, from_params
+from .collisions import CollisionCase, classify_case, elastic_collide, from_params
 from .correspondence import (
     DEFAULT_STATEVECTOR_CAP,
     AnalogyReport,
     analogy_report,
     velocity_scale,
 )
-from .params import RegimeWarning, SearchParams
+from .params import SearchParams, detect_regime
 from .twolevel import (
     THETA_APPROX,
     THETA_EXACT,
-    optimal_iterations,
+    _optimal_count,
     recursion_coefficients,
     success_probability,
     uniform_state,
@@ -37,6 +36,8 @@ THETA_ALIASES = {"exact": THETA_EXACT, "paper": THETA_APPROX, "paper-approx": TH
 _CASE_LABELS = {case: case.value for case in CollisionCase}
 # The engines take N through float arithmetic; 2**1023 is the largest that fits.
 MAX_LOG2_N = sys.float_info.max_exp - 1
+# Rows are held whole until written, about 0.9 KB each: 2**20 rows is 0.9 GB.
+_MAX_ROWS = 2**20
 
 
 class ConfigError(ValueError):
@@ -122,12 +123,15 @@ class ScenarioConfig:
         return params
 
     def resolved_iterations(self, params: SearchParams) -> int:
-        if self.iterations == "auto":
-            # The regime is reported in its own column; no need to warn here.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RegimeWarning)
-                return optimal_iterations(params, self.theta_mode)
-        return int(self.iterations)
+        # The regime is reported in its own column; no need to warn here.
+        auto = self.iterations == "auto"
+        iterations = _optimal_count(params, self.theta_mode) if auto else int(self.iterations)
+        if iterations >= _MAX_ROWS:
+            shown = f"auto ({iterations})" if auto else iterations
+            raise ConfigError(
+                f"iterations={shown} would give more than the limit of {_MAX_ROWS} trajectory rows"
+            )
+        return iterations
 
 
 class TrajectoryRow(NamedTuple):
@@ -224,9 +228,7 @@ def run_sweep(
     rows = []
     for k in range(n_min_log2, n_max_log2 + 1):
         params = SearchParams(2**k - n2, n2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            n0 = optimal_iterations(params, theta_mode)
+        n0 = _optimal_count(params, theta_mode)
         rows.append(
             SweepRow(
                 n_total=params.n_total,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from enum import Enum
 
 
 @dataclass(frozen=True)
@@ -32,3 +33,28 @@ class SearchParams:
 
 class RegimeWarning(UserWarning):
     """The instance sits in a regime where the search loses efficiency."""
+
+
+class Regime(str, Enum):
+    EFFICIENT = "efficient"
+    BOUNDARY = "boundary"
+    INEFFICIENT = "inefficient"
+    INVALID = "invalid"
+
+
+def detect_regime(params: SearchParams) -> Regime:
+    """Efficiency regime of the instance.
+
+    efficient    n2 < N/4   (ball 1 keeps creeping rightward)
+    boundary     n2 = N/4   (one iteration transfers all energy)
+    inefficient  N/4 < n2 < N/2   (ball 1 reverses on the first iteration)
+    invalid      n2 >= N/2  (equal or heavier ball 2; the search fails)
+    """
+    n, n2 = params.n_total, params.n2
+    if 2 * n2 >= n:
+        return Regime.INVALID
+    if 4 * n2 < n:
+        return Regime.EFFICIENT
+    if 4 * n2 == n:
+        return Regime.BOUNDARY
+    return Regime.INEFFICIENT

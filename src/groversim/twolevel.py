@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import RegimeWarning, SearchParams
+from .params import Regime, RegimeWarning, SearchParams, detect_regime
 
 THETA_EXACT = "exact"
 THETA_APPROX = "paper"
@@ -163,21 +163,23 @@ def optimal_iterations(params: SearchParams, theta_mode: str = THETA_EXACT) -> i
     round(pi / (4 theta) - 1/2), nearest integer with ties toward even,
     clamped below at zero.
 
-    Emits ``RegimeWarning`` when n2 > N/4 (the first iteration already
-    reverses the collective amplitude, so the peak is low) and in particular
-    when n1 == n2, where no iteration count ever beats probability 1/2.
+    Emits ``RegimeWarning``, naming the regime, when ``detect_regime`` finds
+    the instance inefficient or invalid: with n2 > N/4 the first iteration
+    already reverses the collective amplitude, so the peak is low, and with
+    n1 == n2 no iteration count ever beats probability 1/2.
     """
-    if params.n1 == params.n2:
+    regime = detect_regime(params)
+    if regime in (Regime.INEFFICIENT, Regime.INVALID):
         warnings.warn(
-            "n1 == n2: success probability is stuck at 1/2, the search is invalid",
+            f"{regime.value} regime: the optimum is below certainty",
             RegimeWarning,
             stacklevel=2,
         )
-    elif 4 * params.n2 > params.n_total:
-        warnings.warn(
-            "n2 > n_total/4: inefficient regime, the optimum is below certainty",
-            RegimeWarning,
-            stacklevel=2,
-        )
+    return _optimal_count(params, theta_mode)
+
+
+def _optimal_count(params: SearchParams, theta_mode: str) -> int:
+    """``optimal_iterations`` without the regime warning, for callers that
+    report the regime themselves."""
     theta = rotation_angle(params, theta_mode)
     return max(0, round(math.pi / (4.0 * theta) - 0.5))

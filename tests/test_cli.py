@@ -1,7 +1,14 @@
 """CLI surface: subcommands, scenario files, exit codes."""
 
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
+import groversim
 from groversim.cli import main
 from groversim.harness import TRAJECTORY_HEADER, ScenarioConfig
 
@@ -196,8 +203,30 @@ def test_draws_above_cap_is_config_error(capsys):
         (("collide", "--log2-n", "4", "--v-init", "inf"), "v_init=inf"),
         (("compare", "--log2-n", "4", "--v-init", "1e-200"), "v_init=1e-200"),
         (("search", "--log2-n", "4", "--draws", "3", "--seed", "-1"), "seed must be >= 0"),
+        (("search", "--log2-n", "4", "--draws", "-3"), "--draws must be in [0, 16777216], got -3"),
+        (
+            ("search", "--log2-n", "4", "--draws", "16777217"),
+            "--draws must be in [0, 16777216], got 16777217",
+        ),
+        (
+            ("search", "--log2-n", "1000"),
+            "would give more than the limit of 1048576 trajectory rows",
+        ),
+        (
+            ("compare", "--n1", "3", "--n2", "1", "--iterations", "1048576"),
+            "iterations=1048576 would give more than the limit of 1048576 trajectory rows",
+        ),
     ],
-    ids=["energy-overflows", "infinite-speed", "energy-underflows", "negative-seed"],
+    ids=[
+        "energy-overflows",
+        "infinite-speed",
+        "energy-underflows",
+        "negative-seed",
+        "negative-draws",
+        "too-many-draws",
+        "auto-count-past-row-limit",
+        "iterations-past-row-limit",
+    ],
 )
 def test_out_of_range_numbers_are_config_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -274,3 +303,30 @@ def test_repeated_calls_in_one_process_give_the_same_output(capsys):
         with pytest.raises(SystemExit):
             main(["collide", "--warp-speed", "9"])
         capsys.readouterr()
+
+
+def test_warnings_print_as_one_groversim_line():
+    # Python's default format names the source file and line of the warn
+    # call, so stderr would change whenever that code moved.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = str(Path(groversim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["collide", "--n1", "4", "--n2", "4", "--iterations", "6"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "groversim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "groversim: warning: post-collision pattern u >= 0 > v observed "
+        "(ball roles swapped); classifying as opposite\n"
+    )
+
+
+@pytest.mark.filterwarnings("ignore::groversim.ProtocolWarning")
+def test_main_restores_the_warning_format(capsys):
+    before = warnings.formatwarning
+    warned = ("collide", "--n1", "4", "--n2", "4", "--iterations", "6")
+    for argv in (warned, ("search", "--log2-n", "1030")):
+        run_cli(capsys, *argv)
+        assert warnings.formatwarning is before

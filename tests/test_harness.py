@@ -108,7 +108,7 @@ def test_validate_rejects_bad_values():
         coerce_config_values({"format": "csv"}, source="test")
 
 
-def test_auto_iterations_resolve_without_warning_noise():
+def test_auto_iterations_resolve_without_warning_noise(monkeypatch):
     import warnings
 
     config = ScenarioConfig(n1=2, n2=2)
@@ -117,6 +117,29 @@ def test_auto_iterations_resolve_without_warning_noise():
         assert config.resolved_iterations(config.resolved_params()) == 0
     config = ScenarioConfig(n1=15, n2=1)
     assert config.resolved_iterations(config.resolved_params()) == 3
+
+    # The count is taken without the warning, not by muting it: the
+    # process-wide filter list is left alone.
+    def no_catch_warnings(*args, **kwargs):
+        raise AssertionError("warnings.catch_warnings was called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(warnings, "catch_warnings", no_catch_warnings)
+        config = ScenarioConfig(n1=1, n2=3)
+        assert config.resolved_iterations(config.resolved_params()) == 0
+        rows = run_sweep(1, 3, 1)
+        assert [row.regime for row in rows] == ["invalid", "boundary", "efficient"]
+
+    # At most 2**20 rows, checked before any row is built.
+    config = ScenarioConfig(n1=3, n2=1, iterations=2**20 - 1)
+    assert config.resolved_iterations(config.resolved_params()) == 2**20 - 1
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows were built")
+
+    monkeypatch.setattr("groversim.harness._trajectory", no_rows)
+    with pytest.raises(ConfigError, match="iterations=1048576 would give more than the limit"):
+        run_search(replace(config, iterations=2**20))
 
 
 def test_coerce_and_build_config():

@@ -15,6 +15,7 @@ from groversim import (
     TwoLevelState,
     build_matrix,
     closed_form,
+    detect_regime,
     matrix_power,
     optimal_iterations,
     rotation_angle,
@@ -290,8 +291,12 @@ def test_optimal_iterations_warns_only_above_quarter():
 
     with pytest.warns(RegimeWarning):
         optimal_iterations(SearchParams(2, 2))
-    with pytest.warns(RegimeWarning):
-        optimal_iterations(SearchParams(5, 3))  # N=8, n2 > 2
+    # N=4 with n2=3, and N=8 with n2=3 > 2: the warning names the regime.
+    for params, regime in ((SearchParams(1, 3), "invalid"), (SearchParams(5, 3), "inefficient")):
+        with pytest.warns(RegimeWarning) as caught:
+            optimal_iterations(params)
+        assert detect_regime(params).value == regime
+        assert str(caught[0].message).startswith(f"{regime} regime:")
     with _warnings.catch_warnings():
         _warnings.simplefilter("error")
         optimal_iterations(SearchParams(15, 1))
