@@ -19,6 +19,7 @@ from dataclasses import fields
 
 from . import harness
 from .harness import ConfigError, ScenarioConfig
+from .params import SearchParams
 from .statevector import grover_iterate, init_uniform, measure_sample
 
 
@@ -66,16 +67,10 @@ def _write(text: str, output: str | None) -> None:
         harness.emit_text(text, output)
 
 
-def _sample_comments(config: ScenarioConfig, iterations: int, draws: int) -> str:
-    params = config.resolved_params()
-    if params.n_total > config.statevector_cap:
-        raise ConfigError(
-            f"--draws needs the state vector, but N={params.n_total} exceeds the cap "
-            f"{config.statevector_cap}"
-        )
+def _sample_comments(params: SearchParams, seed: int, iterations: int, draws: int) -> str:
     state = grover_iterate(init_uniform(params, range(params.n2)), iterations)
-    counts = Counter(measure_sample(state, config.seed, draws))
-    lines = [f"# sample_draws={draws} seed={config.seed} iterations={iterations}"]
+    counts = Counter(measure_sample(state, seed, draws))
+    lines = [f"# sample_draws={draws} seed={seed} iterations={iterations}"]
     lines.extend(f"# sample index={i} count={counts[i]}" for i in sorted(counts))
     return "\n".join(lines) + "\n"
 
@@ -88,11 +83,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if not 0 <= args.draws <= _MAX_DRAWS:
         raise ConfigError(f"--draws must be in [0, {_MAX_DRAWS}], got {args.draws}")
     config = _config_from_args(args)
+    if args.draws:
+        # Refused before the trajectory, which takes seconds at the largest sizes.
+        params = config.validate()
+        if params.n_total > config.statevector_cap:
+            raise ConfigError(
+                f"--draws needs the state vector, but N={params.n_total} exceeds the cap "
+                f"{config.statevector_cap}"
+            )
     rows = harness.run_search(config, engine=harness.ENGINE_ANALYTIC)
     text = harness.format_trajectory_csv(rows)
     if args.draws:
         # The trajectory's last row is the resolved iteration count.
-        text += _sample_comments(config, rows[-1].n, args.draws)
+        text += _sample_comments(params, config.seed, rows[-1].n, args.draws)
     _write(text, config.output)
     return 0
 

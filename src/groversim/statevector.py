@@ -26,7 +26,10 @@ key, since neither the table nor the block sums would pay.
 
 Invariants are checked when a state is built from caller input; the
 kernels, two reflections, keep them by construction. Operations never mutate
-their input, so states can be shared freely across threads.
+their input, so states can be shared freely across threads; the kernels
+return fresh, writeable vectors. The uniform start of ``init_uniform`` is
+read-only, and from N = 2^16 up it is a broadcast of its one amplitude, held
+once, so a search from it holds one N-vector, its result.
 """
 
 from __future__ import annotations
@@ -48,6 +51,12 @@ _KEY_CHUNK = 1 << 14
 _TABLE_RATIO = 16
 # Block sums replace the sequential running sum once draws * _BLOCK_RATIO <= N.
 _BLOCK_RATIO = 256
+# init_uniform broadcasts its one amplitude from this N up; from here the
+# N copies would land on fresh pages in every search. Below it, searches
+# repeated on vectors that stay in cache run the stride-0 norm and
+# reflection slower than contiguous ones (init plus iterate at 2^14: 91 us
+# against 84 us), and a gate at 2^15 spread the benchmark's 90th percentile.
+_BROADCAST_MIN = 1 << 16
 
 
 def _block_squares(x: np.ndarray, width: int) -> tuple[np.ndarray, float]:
@@ -146,11 +155,22 @@ class StateVector:
 def init_uniform(params: SearchParams, marked) -> StateVector:
     """Equal superposition of all basis states: every amplitude is 1/sqrt(N).
 
+    The amplitudes are read-only. From N = 2^16 up they are a broadcast of
+    the one value, held once, so a search from this state holds one
+    N-vector, its result; below that, where both vectors fit in cache, they
+    are a plain array. The constructor checks them like any caller's.
+
     ``marked`` must contain exactly ``params.n2`` distinct indices in
     ``[0, n_total)``.
     """
     n = params.n_total
-    state = StateVector(np.full(n, 1.0 / math.sqrt(n)), marked)
+    amplitude = np.float64(1.0 / math.sqrt(n))
+    if n >= _BROADCAST_MIN:
+        amps = np.broadcast_to(amplitude, (n,))
+    else:
+        amps = np.full(n, amplitude)
+        amps.flags.writeable = False
+    state = StateVector(amps, marked)
     n2 = state._marked_idx.size
     if n2 != params.n2:
         raise ValueError(f"marked set has {n2} indices, expected n2={params.n2}")

@@ -196,6 +196,17 @@ def test_draws_above_cap_is_config_error(capsys):
     assert "cap" in err
 
 
+def test_draws_above_cap_are_refused_before_the_trajectory(capsys, monkeypatch):
+    def no_trajectory(*args):
+        raise AssertionError("the trajectory was built before the cap was checked")
+
+    monkeypatch.setattr(groversim.harness, "_trajectory", no_trajectory)
+    code, out, err = run_cli(capsys, "search", "--log2-n", "40", "--draws", "10")
+    assert code == 2
+    assert out == ""
+    assert "--draws needs the state vector, but N=1099511627776 exceeds the cap 1048576" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -528,6 +528,72 @@ def test_measure_sample_peak_memory_beside_the_picks_is_bounded():
     assert peak - listed <= 8 * draws + 64 * n
 
 
+# --- the uniform start ------------------------------------------------------
+
+@pytest.mark.parametrize("log2_n", [12, 15, 16, 18])  # both sides of the broadcast gate
+@pytest.mark.parametrize("share", ["one", "few", "quarter"])
+def test_uniform_start_gives_the_results_of_the_materialized_start(log2_n, share):
+    n = 2**log2_n
+    n2 = {"one": 1, "few": 5, "quarter": n // 4}[share]
+    marked = np.random.default_rng(log2_n).choice(n, n2, replace=False).tolist()
+    start = init_uniform(SearchParams(n - n2, n2), marked)
+    reference = StateVector(np.full(n, 1 / sqrt(n)), marked)
+    kernels = [apply_oracle, apply_diffusion]
+    for count in (0, 1, optimal_iterations(start.params)):
+        kernels.append(lambda state, count=count: grover_iterate(state, count))
+    for kernel in kernels:
+        assert kernel(start).amplitudes.tobytes() == kernel(reference).amplitudes.tobytes()
+    assert marked_probability(start) == marked_probability(reference)
+    # Block sums, the plain CDF search and the guide table, in that order.
+    for draws in (n // 512, n // 64, n // 8):
+        assert measure_sample(start, 11, draws) == measure_sample(reference, 11, draws)
+
+
+def test_search_from_the_uniform_start_holds_one_vector():
+    # The result is the one N-vector: the start adds no second copy.
+    n = 2**18
+    params = SearchParams(n - 1, 1)
+    count = optimal_iterations(params)
+    tracemalloc.start()
+    try:
+        state = grover_iterate(init_uniform(params, [12345]), count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.amplitudes.size == n
+    assert peak <= 8 * n + 2**16
+
+
+@pytest.mark.parametrize("log2_n", [4, 16])
+def test_uniform_start_is_read_only(log2_n):
+    n = 2**log2_n
+    amplitudes = init_uniform(SearchParams(n - 1, 1), [0]).amplitudes
+    held_once = n >= statevector._BROADCAST_MIN
+    assert amplitudes.strides == ((0,) if held_once else (8,))
+    assert not amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        amplitudes[1] = 0.0
+
+
+@pytest.mark.parametrize("log2_n", [4, 16])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda state: grover_iterate(state, 0),
+        lambda state: grover_iterate(state, 3),
+        apply_oracle,
+        apply_diffusion,
+    ],
+    ids=["iterate-0", "iterate-3", "oracle", "diffusion"],
+)
+def test_kernels_return_fresh_writeable_vectors(log2_n, kernel):
+    n = 2**log2_n
+    start = init_uniform(SearchParams(n - 2, 2), [1, n - 1])
+    out = kernel(start).amplitudes
+    assert out.flags.owndata and out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, start.amplitudes)
+
+
 def test_measure_sample_is_deterministic_on_point_mass():
     state = StateVector([0.0, 0.0, 0.0, 1.0], {3})
     assert measure_sample(state, seed=1, draws=50) == [3] * 50
