@@ -7,6 +7,9 @@ collide elastically (the diffusion analogue). In the natural units
 m_unit = 1, v_init = 1 the velocity pair (u, v) evolves under the same 2x2
 matrix as the two-amplitude recursion.
 
+``_rounds`` is ``iterate``'s round as a bare loop on two floats: the one
+loop that ``statevector.grover_iterate`` and the harness trajectory share.
+
 Positions are deliberately not modelled: whenever the geometry would stop a
 collision from happening one may swap the balls or add a wall at the other
 end, so the dynamics is a pure velocity update and the post-collision case
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -164,6 +168,16 @@ def iterate(system: CollisionSystem) -> tuple[CollisionSystem, IterationRecord]:
         Ball(ball1.mass, u_new), Ball(ball2.mass, v_new), system.v_init, system.m_unit, n
     )
     return updated, record
+
+
+def _rounds(m1: float, m2: float, u: float, v: float) -> Iterator[tuple[float, float]]:
+    """The velocity pair after each of an endless run of ``iterate`` rounds,
+    unchecked: ``elastic_collide(m1, m2, u, -v)`` written out, which rounds
+    alike since m2*(-v) is -(m2*v) and adding -x is subtracting x."""
+    while True:
+        v_c = (m1 * u - m2 * v) / (m1 + m2)
+        u, v = 2.0 * v_c - u, 2.0 * v_c + v
+        yield u, v
 
 
 def closed_form_velocities(

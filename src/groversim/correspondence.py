@@ -96,7 +96,7 @@ def analogy_report(
     scale = velocity_scale(params, v_init)
     use_statevector = n_total <= statevector_cap
     if use_statevector:
-        sv = init_uniform(params, frozenset(range(n2)))
+        sv = init_uniform(params, range(n2))
         marked_probe, unmarked_probe = 0, n_total - 1
 
     vel_res = prob_res = center_res = 0.0

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .collisions import CollisionCase, classify_case, elastic_collide, from_params
+from .collisions import CollisionCase, _rounds, classify_case, from_params
 from .correspondence import (
     DEFAULT_STATEVECTOR_CAP,
     AnalogyReport,
@@ -189,14 +189,15 @@ def _trajectory(
 
     a, b = two.a, two.b
     u, v = system.ball1.velocity, system.ball2.velocity
+    rounds = _rounds(m1, m2, u, v)
     rows: list[TrajectoryRow] = []
     for n in range(iterations + 1):
         if n > 0:
             if engine != ENGINE_COLLISION:
                 a, b = diag * a - c_b * b, c_a * a + diag * b
             if engine != ENGINE_ANALYTIC:
-                # Ball 2 bounces off the wall (-v), then the balls collide.
-                u, v = elastic_collide(m1, m2, u, -v)
+                # Ball 2 bounces off the wall, then the balls collide.
+                u, v = next(rounds)
         if engine == ENGINE_ANALYTIC:
             u, v = scale * a, scale * b
         elif engine == ENGINE_COLLISION:
@@ -316,7 +317,7 @@ def load_scenario(path) -> dict[str, object]:
     values: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

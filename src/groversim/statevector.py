@@ -10,7 +10,10 @@ O(N); the N x N diffusion matrix is never materialised.
 
 ``grover_iterate`` does not loop over them: it works in the two-dimensional
 invariant subspace spanned by the unmarked and marked means, so ``count``
-iterations of any state cost O(N + n2 + count), not O(count * N).
+iterations of any state cost O(N + n2 + count), not O(count * N). The two
+means move as the velocities of balls of mass n1 and n2 under ``count``
+rounds of ``collisions._rounds``: the oracle is ball 2's wall bounce and
+diffusion the elastic collision.
 
 ``measure_sample`` is seeded inverse-CDF sampling. It draws its keys in
 fixed chunks, so it holds no array as long as the draws besides the picks.
@@ -37,9 +40,11 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Collection
+from itertools import islice
 
 import numpy as np
 
+from .collisions import _rounds
 from .params import SearchParams
 
 NORM_TOL = 1e-12
@@ -203,28 +208,27 @@ def grover_iterate(state: StateVector, count: int) -> StateVector:
     """Apply ``count`` full iterations (oracle, then diffusion) to any state.
 
     Exact for every input, not only the uniform start: with ``mu`` and ``mm``
-    the unmarked and marked means, an iteration maps the mean pair (a, b) to
-    (2A - a, 2A + b) with A = (n1*a - n2*b)/N, negates each unmarked
-    amplitude's offset from ``mu`` and keeps each marked one's offset from
-    ``mm``. The recursion runs on two scalars, and the result is written in
-    one pass over the vector plus a gather and a scatter of the marked
-    entries: O(N + n2 + count) in all.
+    the unmarked and marked means, an iteration negates each unmarked
+    amplitude's offset from ``mu``, keeps each marked one's offset from
+    ``mm``, and moves the mean pair as the velocities of balls of mass n1
+    and n2 through one round of ``collisions._rounds``: the oracle is ball
+    2's wall bounce, diffusion the elastic collision. The rounds run on two
+    scalars, and the result is written in one pass over the vector plus a
+    gather and a scatter of the marked entries: O(N + n2 + count) in all.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     amps, idx = state.amplitudes, state._marked_idx
     if count == 0:
         return state._derive(amps.copy())
-    n_total, n2 = amps.size, idx.size
-    n1 = n_total - n2
+    n2 = idx.size
+    n1 = amps.size - n2
     marked = amps[idx]
     marked_sum = float(marked.sum())
     mu = (float(amps.sum()) - marked_sum) / n1
     mm = marked_sum / n2
-    a, b = mu, mm
-    for _ in range(count):
-        mean = (n1 * a - n2 * b) / n_total
-        a, b = 2.0 * mean - a, 2.0 * mean + b
+    # float(n1) and float(n2) are exact: no vector has 2**53 entries.
+    a, b = next(islice(_rounds(float(n1), float(n2), mu, mm), count - 1, None))
     # Each unmarked amplitude c becomes a + (-1)**count * (c - mu). The
     # marked entries this pass writes are overwritten below.
     out = np.add(amps, a - mu) if count % 2 == 0 else np.subtract(a + mu, amps)

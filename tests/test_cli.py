@@ -167,6 +167,14 @@ def test_bad_scenario_file_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_scenario_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    scenario = tmp_path / "bad.cfg"
+    scenario.write_bytes(b"\xff\xfe n1=3\n")
+    code, _, err = run_cli(capsys, "search", "--scenario", str(scenario))
+    assert code == 2
+    assert "config error: cannot read scenario file" in err
+
+
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,

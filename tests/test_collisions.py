@@ -1,6 +1,7 @@
 """Collision engine: conservation laws, worked cases, regimes."""
 
 import math
+from itertools import islice
 from math import sqrt
 
 import pytest
@@ -24,6 +25,7 @@ from groversim import (
     obstacle_bounce,
     optimal_iterations,
 )
+from groversim.collisions import _rounds
 
 masses = st.floats(min_value=1e-2, max_value=1e4, allow_nan=False, allow_infinity=False)
 speeds = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -193,6 +195,29 @@ def test_iterate_conserves_energy():
     for _ in range(200):
         system, _ = iterate(system)
         assert system.total_energy == pytest.approx(initial, rel=1e-12)
+
+
+# Integer masses as a state vector's class sizes give them, and any positive
+# floats; energy conservation bounds |m*u| by sqrt(m*E), so within these
+# ranges every product and velocity stays finite.
+round_masses = st.one_of(
+    st.integers(min_value=1, max_value=2**52).map(float),
+    st.floats(min_value=1e-150, max_value=1e150),
+)
+round_speeds = st.floats(min_value=-1e100, max_value=1e100)
+
+
+@pytest.mark.filterwarnings("ignore::groversim.ProtocolWarning")
+@given(round_masses, round_masses, round_speeds, round_speeds, st.integers(min_value=0, max_value=64))
+def test_rounds_equal_iterate_bit_for_bit(m1, m2, u, v, count):
+    # No tolerance: the loop that grover_iterate and the trajectory run must
+    # give exactly the pairs of the public round.
+    system = CollisionSystem(Ball(m1, u), Ball(m2, v))
+    pairs = list(islice(_rounds(m1, m2, u, v), count))
+    assert len(pairs) == count
+    for pair in pairs:
+        system, record = iterate(system)
+        assert pair == (record.u, record.v)
 
 
 # --- closed forms -------------------------------------------------------------

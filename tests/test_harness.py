@@ -182,6 +182,9 @@ def test_load_scenario_rejects_bad_lines(tmp_path):
         load_scenario(path)
     with pytest.raises(ConfigError):
         load_scenario(tmp_path / "missing.cfg")
+    path.write_bytes(b"\xff\xfe n1=3\n")
+    with pytest.raises(ConfigError, match="cannot read scenario file"):
+        load_scenario(path)
 
 
 # --- trajectories ---------------------------------------------------------------
@@ -302,6 +305,7 @@ REFERENCE_CONFIGS = [
     ScenarioConfig(n1=600, n2=424, iterations=17),  # inefficient
     ScenarioConfig(n1=1000, n2=2, theta_mode="paper", v_init=3.1),
     ScenarioConfig(n1=5, n2=5, iterations=23, v_init=0.8),  # equal masses
+    ScenarioConfig(n1=2**60 + 1, n2=3, iterations=5, v_init=1.3),  # float(n1) rounds
 ]
 
 

@@ -1,5 +1,6 @@
 """State-vector engine: kernels, conservation laws, and sampling."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -314,6 +315,29 @@ def test_iterate_matches_stepwise_kernels_on_arbitrary_states(shape, count):
     assert np.allclose(got, stepwise.amplitudes, atol=1e-12, rtol=0)
     brute = brute_iterate(before, state.marked, count)
     assert np.allclose(got, brute, atol=1e-12, rtol=0)
+
+
+@pytest.mark.filterwarnings("ignore::groversim.RegimeWarning")
+def test_iterate_output_bytes_match_the_recorded_digest():
+    """Every byte ``grover_iterate`` writes, over a seeded set of states:
+    the uniform and a random start, N = 2**2..2**16, n2 from 1 to N/2 - 1,
+    and counts 0, 1, 2, the optimum and twice it plus 3. The digest was
+    recorded from the integer-mass loop that ``collisions._rounds`` replaced;
+    the random starts are normalised by ``fsum`` to stay off BLAS."""
+    rng = np.random.default_rng(20011)
+    digest = hashlib.sha256()
+    for log2_n in range(2, 17):
+        n = 2**log2_n
+        for n2 in sorted({1, n // 2 - 1, int(rng.integers(1, n // 2))}):
+            params = SearchParams(n - n2, n2)
+            marked = rng.choice(n, size=n2, replace=False).tolist()
+            amps = rng.standard_normal(n)
+            amps /= sqrt(fsum(amps * amps))
+            opt = optimal_iterations(params)
+            for state in (init_uniform(params, marked), StateVector(amps, marked)):
+                for count in (0, 1, 2, opt, 2 * opt + 3):
+                    digest.update(grover_iterate(state, count).amplitudes.tobytes())
+    assert digest.hexdigest() == "6d0f2137893d7bd2adcab13278be0f228b474a876db442203978ac3b0ea021b5"
 
 
 @given(
