@@ -277,7 +277,10 @@ def emit_csv(rows: Iterable[TrajectoryRow], path) -> None:
 
 
 def emit_text(text: str, path) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from None
 
 
 def run_compare(config: ScenarioConfig) -> tuple[list[TrajectoryRow], AnalogyReport]:
@@ -316,7 +319,7 @@ def load_scenario(path) -> dict[str, object]:
     """
     values: dict[str, object] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

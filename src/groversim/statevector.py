@@ -28,17 +28,22 @@ search over the whole CDF. In between it searches the exact CDF for each
 key, since neither the table nor the block sums would pay.
 
 Invariants are checked when a state is built from caller input; the
-kernels, two reflections, keep them by construction. Operations never mutate
+kernels, two reflections, keep them by construction. A vector that repeats
+one value v, a broadcast, has its norm checked as the one product N*v*v; any
+other vector by a blocked sum of squares. NaN amplitudes fail the check, and
+a marked index that is not an integer is refused. Operations never mutate
 their input, so states can be shared freely across threads; the kernels
-return fresh, writeable vectors. The uniform start of ``init_uniform`` is
-read-only, and from N = 2^16 up it is a broadcast of its one amplitude, held
-once, so a search from it holds one N-vector, its result.
+return fresh, writeable vectors. The uniform start of ``init_uniform`` is a
+read-only broadcast of its one amplitude at every N, held once, so a search
+from it holds one N-vector, its result.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
+from array import array
 from collections.abc import Callable, Collection
 from itertools import islice
 
@@ -56,12 +61,6 @@ _KEY_CHUNK = 1 << 14
 _TABLE_RATIO = 16
 # Block sums replace the sequential running sum once draws * _BLOCK_RATIO <= N.
 _BLOCK_RATIO = 256
-# init_uniform broadcasts its one amplitude from this N up; from here the
-# N copies would land on fresh pages in every search. Below it, searches
-# repeated on vectors that stay in cache run the stride-0 norm and
-# reflection slower than contiguous ones (init plus iterate at 2^14: 91 us
-# against 84 us), and a gate at 2^15 spread the benchmark's 90th percentile.
-_BROADCAST_MIN = 1 << 16
 
 
 def _block_squares(x: np.ndarray, width: int) -> tuple[np.ndarray, float]:
@@ -85,12 +84,14 @@ def _sum_of_squares(x: np.ndarray) -> float:
 
 def _marked_indices(marked, n_total: int) -> np.ndarray:
     """The distinct indices of ``marked`` as a sorted ``np.intp`` array,
-    checked to be non-empty, inside ``[0, n_total)`` and to leave one
-    index unmarked."""
+    checked to be integers, non-empty, inside ``[0, n_total)`` and to leave
+    one index unmarked."""
     if not isinstance(marked, Collection):
         marked = list(marked)  # read a second time if an index overflows intp
     try:
-        idx = np.fromiter(marked, dtype=np.intp)
+        # An array of C integers refuses what operator.index refuses, such as
+        # floats and strings, at a fraction of the cost of calling it on each.
+        idx = np.frombuffer(array(np.dtype(np.intp).char, marked), dtype=np.intp)
     except OverflowError:  # beyond intp, so out of range too
         idx = None
     else:
@@ -101,7 +102,7 @@ def _marked_indices(marked, n_total: int) -> np.ndarray:
         if idx.size == 0:
             raise ValueError("marked set must not be empty")
     if idx is None or idx[0] < 0 or idx[-1] >= n_total:
-        bad = sorted({i for i in map(int, marked) if not 0 <= i < n_total})
+        bad = sorted({i for i in map(operator.index, marked) if not 0 <= i < n_total})
         raise IndexError(f"marked indices out of range [0, {n_total}): {bad}")
     if idx.size >= n_total:
         raise ValueError("marked set must leave at least one unmarked state")
@@ -114,7 +115,11 @@ class StateVector:
 
     Invariants, checked when built from caller input and kept by the kernels:
     1-D float64 amplitudes with unit sum of squares (within ``NORM_TOL``), and
-    a marked set that is a non-empty proper subset of the index range.
+    a marked set that is a non-empty proper subset of the index range. The
+    sum of squares of a broadcast, one value v repeated N times, is the one
+    product N*v*v, within two roundings of the exact sum. A NaN amplitude
+    fails the check. A marked index that ``operator.index`` refuses, such as
+    a float or a string, is a ``TypeError``.
 
     The marked set is held once, as the sorted read-only ``np.intp`` array
     ``_marked_idx`` that the kernels index with. ``marked`` builds a new
@@ -128,8 +133,12 @@ class StateVector:
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must be a 1-D vector of length >= 2")
         idx = _marked_indices(marked, amps.size)
-        norm = _sum_of_squares(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if amps.strides == (0,):  # one value repeated: its norm is one product
+            value = float(amps[0])
+            norm = amps.size * value * value
+        else:
+            norm = _sum_of_squares(amps)
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails this too
             raise ValueError(f"amplitudes are not normalised: sum of squares = {norm!r}")
         self.amplitudes = amps
         self._marked_idx = idx
@@ -160,22 +169,15 @@ class StateVector:
 def init_uniform(params: SearchParams, marked) -> StateVector:
     """Equal superposition of all basis states: every amplitude is 1/sqrt(N).
 
-    The amplitudes are read-only. From N = 2^16 up they are a broadcast of
-    the one value, held once, so a search from this state holds one
-    N-vector, its result; below that, where both vectors fit in cache, they
-    are a plain array. The constructor checks them like any caller's.
+    The amplitudes are a read-only broadcast of the one value, held once,
+    so a search from this state holds one N-vector, its result. The
+    constructor checks them like any caller's.
 
     ``marked`` must contain exactly ``params.n2`` distinct indices in
     ``[0, n_total)``.
     """
     n = params.n_total
-    amplitude = np.float64(1.0 / math.sqrt(n))
-    if n >= _BROADCAST_MIN:
-        amps = np.broadcast_to(amplitude, (n,))
-    else:
-        amps = np.full(n, amplitude)
-        amps.flags.writeable = False
-    state = StateVector(amps, marked)
+    state = StateVector(np.broadcast_to(np.float64(1.0 / math.sqrt(n)), (n,)), marked)
     n2 = state._marked_idx.size
     if n2 != params.n2:
         raise ValueError(f"marked set has {n2} indices, expected n2={params.n2}")

@@ -175,15 +175,24 @@ def test_scenario_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert "config error: cannot read scenario file" in err
 
 
-def test_unwritable_output_is_runtime_error(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys,
-        "search",
-        "--n1", "3", "--n2", "1",
-        "--output", str(tmp_path / "no" / "such" / "dir" / "out.csv"),
+def test_scenario_file_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    scenario = tmp_path / "bom.cfg"
+    scenario.write_bytes(b"\xef\xbb\xbfn1=7\nn2=1\n")
+    assert run_cli(capsys, "search", "--scenario", str(scenario)) == run_cli(
+        capsys, "search", "--n1", "7", "--n2", "1"
     )
-    assert code == 1
-    assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "make_output",
+    [lambda tmp: str(tmp / "no" / "such" / "dir" / "out.csv"), lambda tmp: str(tmp), lambda tmp: ""],
+    ids=["missing-directory", "directory", "empty"],
+)
+def test_unwritable_output_is_config_error(tmp_path, capsys, make_output):
+    output = make_output(tmp_path)
+    code, out, err = run_cli(capsys, "search", "--n1", "3", "--n2", "1", "--output", output)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"groversim: config error: cannot write output file {output}: ")
 
 
 def test_unknown_flag_exits_two():

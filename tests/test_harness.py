@@ -173,6 +173,9 @@ def test_load_scenario(tmp_path):
     assert values == {"n1": 7, "n2": 1, "iterations": "auto", "v_init": 1.0}
     config = build_config(values, {"iterations": 2})
     assert config.iterations == 2  # CLI-style override wins
+    # A UTF-8 byte-order mark, as Windows editors write it, is dropped.
+    path.write_bytes(b"\xef\xbb\xbfn1=7\nn2=1\n")
+    assert load_scenario(path) == {"n1": 7, "n2": 1}
 
 
 def test_load_scenario_rejects_bad_lines(tmp_path):

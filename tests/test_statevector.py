@@ -4,11 +4,12 @@ import hashlib
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from math import fsum, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from groversim import statevector
 from groversim import (
@@ -95,6 +96,30 @@ def test_statevector_rejects_invalid_inputs():
         StateVector([1.0 / sqrt(2)] * 2, {0, 1})       # nothing unmarked
     with pytest.raises(ValueError):
         StateVector([1.0], {0})                        # length < 2
+    for amplitudes in ([math.nan, math.nan], [math.nan, 1.0], np.broadcast_to(np.nan, (8,))):
+        with pytest.raises(ValueError, match="not normalised"):
+            StateVector(amplitudes, [0])
+    # A broadcast's norm is the one product 4 * 0.6 * 0.6.
+    with pytest.raises(ValueError, match=re.escape("sum of squares = 1.44") + "$"):
+        StateVector(np.broadcast_to(0.6, (4,)), [0])
+
+
+@given(st.integers(min_value=2, max_value=2**20), st.floats(min_value=-3e-12, max_value=3e-12))
+@example(2**20, 4e-13)  # accepted
+@example(2**20, -6e-13)  # rejected
+def test_a_broadcast_gets_the_verdict_of_the_same_values_in_full(n, e):
+    v = (1.0 + e) / sqrt(n)
+    # Both sums are within 1e-13 of the exact one; closer calls may differ.
+    assume(abs(abs(n * Fraction(v) ** 2 - 1) - statevector.NORM_TOL) > 1e-13)
+    verdicts = []
+    for amplitudes in (np.broadcast_to(v, (n,)), np.full(n, v)):
+        try:
+            StateVector(amplitudes, [0])
+        except ValueError:
+            verdicts.append("rejected")
+        else:
+            verdicts.append("accepted")
+    assert verdicts[0] == verdicts[1]
 
 
 UNIFORM8 = np.full(8, 1.0 / sqrt(8))
@@ -110,8 +135,9 @@ UNIFORM8 = np.full(8, 1.0 / sqrt(8))
         lambda: np.array([5, 1, 3]),
         lambda: [np.int64(5), np.int32(1), np.uint8(3)],
         lambda: [3, 1, 5, 1, 3, 3],  # duplicates collapse
+        lambda: [5, True, 3],
     ],
-    ids=["list", "set", "range", "generator", "ndarray", "numpy-scalars", "duplicates"],
+    ids=["list", "set", "range", "generator", "ndarray", "numpy-scalars", "duplicates", "bool"],
 )
 def test_statevector_accepts_index_collections(make_marked):
     state = StateVector(UNIFORM8, make_marked())
@@ -129,6 +155,16 @@ def test_statevector_accepts_index_collections(make_marked):
 def test_out_of_range_error_lists_the_bad_indices_sorted(make_marked):
     with pytest.raises(IndexError, match=re.escape("out of range [0, 8): [-2, 8, 9]")):
         StateVector(UNIFORM8, make_marked())
+
+
+@pytest.mark.parametrize(
+    "marked",
+    [[2.5], [1.0], ["1"], np.array([2.5]), {2.5}, [2**64, 2.5], np.array([False, True])],
+    ids=["float", "integral-float", "string", "float-ndarray", "float-set", "float-past-intp", "mask"],
+)
+def test_marked_indices_must_be_integers(marked):
+    with pytest.raises(TypeError):
+        init_uniform(SearchParams(7, 1), marked)
 
 
 def test_index_beyond_intp_is_an_index_error():
@@ -554,11 +590,11 @@ def test_measure_sample_peak_memory_beside_the_picks_is_bounded():
 
 # --- the uniform start ------------------------------------------------------
 
-@pytest.mark.parametrize("log2_n", [12, 15, 16, 18])  # both sides of the broadcast gate
+@pytest.mark.parametrize("log2_n", [2, 4, 12, 14, 15, 16, 18])
 @pytest.mark.parametrize("share", ["one", "few", "quarter"])
 def test_uniform_start_gives_the_results_of_the_materialized_start(log2_n, share):
     n = 2**log2_n
-    n2 = {"one": 1, "few": 5, "quarter": n // 4}[share]
+    n2 = {"one": 1, "few": min(5, n // 4), "quarter": n // 4}[share]
     marked = np.random.default_rng(log2_n).choice(n, n2, replace=False).tolist()
     start = init_uniform(SearchParams(n - n2, n2), marked)
     reference = StateVector(np.full(n, 1 / sqrt(n)), marked)
@@ -568,8 +604,8 @@ def test_uniform_start_gives_the_results_of_the_materialized_start(log2_n, share
     for kernel in kernels:
         assert kernel(start).amplitudes.tobytes() == kernel(reference).amplitudes.tobytes()
     assert marked_probability(start) == marked_probability(reference)
-    # Block sums, the plain CDF search and the guide table, in that order.
-    for draws in (n // 512, n // 64, n // 8):
+    # From 2^12 up: block sums, the plain CDF search and the guide table.
+    for draws in (max(n // ratio, 1) for ratio in (512, 64, 8)):
         assert measure_sample(start, 11, draws) == measure_sample(reference, 11, draws)
 
 
@@ -588,12 +624,11 @@ def test_search_from_the_uniform_start_holds_one_vector():
     assert peak <= 8 * n + 2**16
 
 
-@pytest.mark.parametrize("log2_n", [4, 16])
+@pytest.mark.parametrize("log2_n", [2, 4, 16])
 def test_uniform_start_is_read_only(log2_n):
     n = 2**log2_n
     amplitudes = init_uniform(SearchParams(n - 1, 1), [0]).amplitudes
-    held_once = n >= statevector._BROADCAST_MIN
-    assert amplitudes.strides == ((0,) if held_once else (8,))
+    assert amplitudes.strides == (0,)  # one amplitude, held once
     assert not amplitudes.flags.writeable
     with pytest.raises(ValueError):
         amplitudes[1] = 0.0
