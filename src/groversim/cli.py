@@ -18,8 +18,7 @@ from collections import Counter
 from dataclasses import fields
 
 from . import harness
-from .harness import ConfigError, ScenarioConfig
-from .params import SearchParams
+from .harness import ConfigError, Plan, ScenarioConfig
 from .statevector import grover_iterate, init_uniform, measure_sample
 
 
@@ -67,10 +66,11 @@ def _write(text: str, output: str | None) -> None:
         harness.emit_text(text, output)
 
 
-def _sample_comments(params: SearchParams, seed: int, iterations: int, draws: int) -> str:
-    state = grover_iterate(init_uniform(params, range(params.n2)), iterations)
-    counts = Counter(measure_sample(state, seed, draws))
-    lines = [f"# sample_draws={draws} seed={seed} iterations={iterations}"]
+def _sample_comments(plan: Plan, draws: int) -> str:
+    params = plan.params
+    state = grover_iterate(init_uniform(params, range(params.n2)), plan.iterations)
+    counts = Counter(measure_sample(state, plan.seed, draws))
+    lines = [f"# sample_draws={draws} seed={plan.seed} iterations={plan.iterations}"]
     lines.extend(f"# sample index={i} count={counts[i]}" for i in sorted(counts))
     return "\n".join(lines) + "\n"
 
@@ -82,36 +82,33 @@ _MAX_DRAWS = 2**24
 def _cmd_search(args: argparse.Namespace) -> int:
     if not 0 <= args.draws <= _MAX_DRAWS:
         raise ConfigError(f"--draws must be in [0, {_MAX_DRAWS}], got {args.draws}")
-    config = _config_from_args(args)
-    if args.draws:
-        # Refused before the trajectory, which takes seconds at the largest sizes.
-        params = config.validate()
-        if params.n_total > config.statevector_cap:
-            raise ConfigError(
-                f"--draws needs the state vector, but N={params.n_total} exceeds the cap "
-                f"{config.statevector_cap}"
-            )
-    rows = harness.run_search(config, engine=harness.ENGINE_ANALYTIC)
+    plan = _config_from_args(args).validate()
+    # Refused before the trajectory, which takes seconds at the largest sizes.
+    if args.draws and plan.params.n_total > plan.statevector_cap:
+        raise ConfigError(
+            f"--draws needs the state vector, but N={plan.params.n_total} exceeds the cap "
+            f"{plan.statevector_cap}"
+        )
+    rows = harness.run_search(plan, engine=harness.ENGINE_ANALYTIC)
     text = harness.format_trajectory_csv(rows)
     if args.draws:
-        # The trajectory's last row is the resolved iteration count.
-        text += _sample_comments(params, config.seed, rows[-1].n, args.draws)
-    _write(text, config.output)
+        text += _sample_comments(plan, args.draws)
+    _write(text, plan.output)
     return 0
 
 
 def _cmd_collide(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    rows = harness.run_search(config, engine=harness.ENGINE_COLLISION)
-    _write(harness.format_trajectory_csv(rows), config.output)
+    plan = _config_from_args(args).validate()
+    rows = harness.run_search(plan, engine=harness.ENGINE_COLLISION)
+    _write(harness.format_trajectory_csv(rows), plan.output)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    rows, report = harness.run_compare(config)
+    plan = _config_from_args(args).validate()
+    rows, report = harness.run_compare(plan)
     text = harness.format_trajectory_csv(rows) + harness.format_report_comments(report)
-    _write(text, config.output)
+    _write(text, plan.output)
     return 0
 
 

@@ -1,4 +1,8 @@
-"""Scenario configuration, trajectory assembly, sweeps, and CSV output."""
+"""Scenario configuration, trajectory assembly, sweeps, and CSV output.
+
+A query is resolved once: ``ScenarioConfig.validate`` returns a ``Plan``.
+``run_search`` and ``run_compare`` take a config, which they validate, or a plan.
+"""
 
 from __future__ import annotations
 
@@ -60,8 +64,10 @@ class ScenarioConfig:
     statevector_cap: int = DEFAULT_STATEVECTOR_CAP
     output: str | None = None
 
-    def validate(self) -> SearchParams:
-        """Check every value and return the instance the sizing resolves to."""
+    def validate(self) -> Plan:
+        """Check every value and resolve the query once into a ``Plan``: the
+        instance the sizing gives and the iteration count, "auto" taken as
+        the optimum, with at most ``_MAX_ROWS`` trajectory rows."""
         if self.theta_mode not in (THETA_EXACT, THETA_APPROX):
             raise ConfigError(f"theta_mode must be 'exact' or 'paper', got {self.theta_mode!r}")
         if not self.v_init > 0:
@@ -85,7 +91,15 @@ class ScenarioConfig:
                 f"v_init={self.v_init!r} puts the total kinetic energy 0.5*N*v_init**2 "
                 f"at N={params.n_total} outside the normal float range: {energy!r}"
             )
-        return params
+        # The regime is reported in its own column; no need to warn here.
+        auto = self.iterations == "auto"
+        iterations = _optimal_count(params, self.theta_mode) if auto else int(self.iterations)
+        if iterations >= _MAX_ROWS:
+            shown = f"auto ({iterations})" if auto else iterations
+            raise ConfigError(
+                f"iterations={shown} would give more than the limit of {_MAX_ROWS} trajectory rows"
+            )
+        return Plan(params, iterations, self.v_init, self.seed, self.statevector_cap, self.output)
 
     def resolved_params(self) -> SearchParams:
         have_counts = self.n1 is not None
@@ -122,16 +136,18 @@ class ScenarioConfig:
             )
         return params
 
-    def resolved_iterations(self, params: SearchParams) -> int:
-        # The regime is reported in its own column; no need to warn here.
-        auto = self.iterations == "auto"
-        iterations = _optimal_count(params, self.theta_mode) if auto else int(self.iterations)
-        if iterations >= _MAX_ROWS:
-            shown = f"auto ({iterations})" if auto else iterations
-            raise ConfigError(
-                f"iterations={shown} would give more than the limit of {_MAX_ROWS} trajectory rows"
-            )
-        return iterations
+
+@dataclass(frozen=True)
+class Plan:
+    """One query as ``ScenarioConfig.validate`` resolved it: the instance,
+    the iteration count and the values a run reads."""
+
+    params: SearchParams
+    iterations: int
+    v_init: float
+    seed: int
+    statevector_cap: int
+    output: str | None
 
 
 class TrajectoryRow(NamedTuple):
@@ -157,8 +173,9 @@ class SweepRow:
     regime: str
 
 
-def run_search(config: ScenarioConfig, engine: str = ENGINE_BOTH) -> list[TrajectoryRow]:
-    """Trajectory rows for n = 0..iterations.
+def run_search(query: ScenarioConfig | Plan, engine: str = ENGINE_BOTH) -> list[TrajectoryRow]:
+    """Trajectory rows for n = 0..iterations. ``query`` is a config, which is
+    validated here, or a ``Plan`` that ``validate`` already resolved.
 
     engine selects who produces the primary columns: ``analytic`` drives the
     two-amplitude recursion and maps velocities through the exact scaling,
@@ -171,8 +188,8 @@ def run_search(config: ScenarioConfig, engine: str = ENGINE_BOTH) -> list[Trajec
     """
     if engine not in (ENGINE_ANALYTIC, ENGINE_COLLISION, ENGINE_BOTH):
         raise ConfigError(f"unknown engine {engine!r}")
-    params = config.validate()
-    return _trajectory(params, config.v_init, config.resolved_iterations(params), engine)
+    plan = query if isinstance(query, Plan) else query.validate()
+    return _trajectory(plan.params, plan.v_init, plan.iterations, engine)
 
 
 def _trajectory(
@@ -283,8 +300,9 @@ def emit_text(text: str, path) -> None:
         raise ConfigError(f"cannot write output file {path}: {exc}") from None
 
 
-def run_compare(config: ScenarioConfig) -> tuple[list[TrajectoryRow], AnalogyReport]:
-    """Rows from the independent engines plus the three-way residual report.
+def run_compare(query: ScenarioConfig | Plan) -> tuple[list[TrajectoryRow], AnalogyReport]:
+    """Rows from the independent engines plus the three-way residual report,
+    for a config, which is validated here, or a ``Plan`` from ``validate``.
 
     One pass: the report is built from the ``both`` rows, in which the
     two-amplitude recursion and the collision iteration are still computed
@@ -294,16 +312,15 @@ def run_compare(config: ScenarioConfig) -> tuple[list[TrajectoryRow], AnalogyRep
     ``verify_analogy`` does, so a zero-iteration run computes one row more
     than it returns.
     """
-    params = config.validate()
-    iterations = config.resolved_iterations(params)
-    rows = _trajectory(params, config.v_init, max(1, iterations), ENGINE_BOTH)
+    plan = query if isinstance(query, Plan) else query.validate()
+    rows = _trajectory(plan.params, plan.v_init, max(1, plan.iterations), ENGINE_BOTH)
     report = analogy_report(
-        params,
-        config.v_init,
+        plan.params,
+        plan.v_init,
         [(r.a_n, r.b_n, r.u_n, r.v_n, r.energy_fraction_ball2) for r in rows],
-        config.statevector_cap,
+        plan.statevector_cap,
     )
-    return rows[: iterations + 1], report
+    return rows[: plan.iterations + 1], report
 
 
 _INT_KEYS = frozenset({"n1", "n2", "log2_n", "marked_count", "seed", "statevector_cap"})

@@ -85,16 +85,20 @@ def _sum_of_squares(x: np.ndarray) -> float:
 def _marked_indices(marked, n_total: int) -> np.ndarray:
     """The distinct indices of ``marked`` as a sorted ``np.intp`` array,
     checked to be integers, non-empty, inside ``[0, n_total)`` and to leave
-    one index unmarked."""
-    if not isinstance(marked, Collection):
-        marked = list(marked)  # read a second time if an index overflows intp
-    try:
-        # An array of C integers refuses what operator.index refuses, such as
-        # floats and strings, at a fraction of the cost of calling it on each.
-        idx = np.frombuffer(array(np.dtype(np.intp).char, marked), dtype=np.intp)
-    except OverflowError:  # beyond intp, so out of range too
-        idx = None
+    one index unmarked. A 1-D integer ndarray is converted with one
+    ``astype``; a uint64 index past intp wraps negative and is refused."""
+    if isinstance(marked, np.ndarray) and marked.ndim == 1 and marked.dtype.kind in "iu":
+        idx = marked.astype(np.intp)
     else:
+        if not isinstance(marked, Collection):
+            marked = list(marked)  # read a second time if an index overflows intp
+        try:
+            # An array of C integers refuses what operator.index refuses, such
+            # as floats and strings, at a fraction of the cost of calling it on each.
+            idx = np.frombuffer(array(np.dtype(np.intp).char, marked), dtype=np.intp)
+        except OverflowError:  # beyond intp, so out of range too
+            idx = None
+    if idx is not None:
         idx.sort()
         distinct = idx[1:] != idx[:-1]
         if not distinct.all():
@@ -252,9 +256,10 @@ def _guide_table_search(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     With ``m`` the power of two in (N, 2N], ``guide[j]`` counts the CDF values
     ``<= j/m``. Scaling by ``m`` is exact, so ``b = floor(key*m)`` gives
     ``b/m <= key < (b+1)/m`` and the pick lies in ``[guide[b], guide[b+1]]``.
-    Where the two bounds are equal that is the pick; the other keys are
-    settled by bisection on the same ``cdf[i] <= key`` comparison, one round
-    per bit of the widest bucket they fall in.
+    One comparison settles most keys: the pick is ``lo = guide[b]`` when
+    ``cdf[lo] > key`` (``lo <= N - 1``, since ``cdf[-1] > key``). The other
+    keys are settled by bisection over ``(lo, guide[b+1]]`` on the same
+    ``cdf[i] <= key`` comparison, one round per bit of the widest of them.
     """
     m = 1 << cdf.size.bit_length()
     buckets = cdf * m
@@ -264,19 +269,18 @@ def _guide_table_search(cdf: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     def search(keys: np.ndarray) -> np.ndarray:
         b = (keys * m).astype(np.intp)
-        lo = guide[b]
-        b += 1
-        hi = guide[b]
-        todo = np.flatnonzero(lo < hi)
+        lo = guide.take(b)
+        todo = np.flatnonzero(cdf.take(lo) <= keys)
         if todo.size:
             # cdf[i] <= key below left and > key from right on. A settled
             # key (left == right) stays put: there cdf[mid] > key.
-            left, right, k = lo[todo], hi[todo], keys[todo]
+            left, right, k = lo.take(todo) + 1, guide.take(b.take(todo) + 1), keys.take(todo)
             for _ in range(int((right - left).max()).bit_length()):
                 mid = (left + right) >> 1
-                above = cdf[mid] <= k
-                left = np.where(above, mid + 1, left)
-                right = np.where(above, right, mid)
+                above = cdf.take(mid) <= k
+                np.copyto(right, mid, where=~above)
+                mid += 1
+                np.copyto(left, mid, where=above)
             lo[todo] = left
         return lo
 

@@ -160,8 +160,7 @@ def success_probability(params: SearchParams, n: int, theta_mode: str = THETA_EX
 
 def optimal_iterations(params: SearchParams, theta_mode: str = THETA_EXACT) -> int:
     """Iteration count that maximises the success probability:
-    round(pi / (4 theta) - 1/2), nearest integer with ties toward even,
-    clamped below at zero.
+    round(pi / (4 theta) - 1/2), nearest integer with ties toward even.
 
     Emits ``RegimeWarning``, naming the regime, when ``detect_regime`` finds
     the instance inefficient or invalid: with n2 > N/4 the first iteration
@@ -182,4 +181,4 @@ def _optimal_count(params: SearchParams, theta_mode: str) -> int:
     """``optimal_iterations`` without the regime warning, for callers that
     report the regime themselves."""
     theta = rotation_angle(params, theta_mode)
-    return max(0, round(math.pi / (4.0 * theta) - 0.5))
+    return round(math.pi / (4.0 * theta) - 0.5)

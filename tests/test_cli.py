@@ -43,6 +43,30 @@ def test_search_with_draws_at_the_statevector_cap(capsys):
     assert "# sample_draws=10 " in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--log2-n", "10"),
+        ("search", "--log2-n", "10", "--draws", "50"),
+        ("collide", "--log2-n", "10"),
+        ("compare", "--log2-n", "10"),
+    ],
+    ids=["search", "search-draws", "collide", "compare"],
+)
+def test_each_query_is_validated_once(capsys, monkeypatch, argv):
+    calls = []
+    validate = ScenarioConfig.validate
+
+    def counted(config):
+        calls.append(config)
+        return validate(config)
+
+    monkeypatch.setattr(ScenarioConfig, "validate", counted)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 def test_collide_writes_file(tmp_path, capsys):
     out_path = tmp_path / "collide.csv"
     code, out, _ = run_cli(

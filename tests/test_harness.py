@@ -29,6 +29,7 @@ from groversim.harness import (
     ENGINE_ANALYTIC,
     ENGINE_BOTH,
     ENGINE_COLLISION,
+    Plan,
     SWEEP_HEADER,
     TRAJECTORY_HEADER,
     TrajectoryRow,
@@ -114,9 +115,9 @@ def test_auto_iterations_resolve_without_warning_noise(monkeypatch):
     config = ScenarioConfig(n1=2, n2=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert config.resolved_iterations(config.resolved_params()) == 0
+        assert config.validate().iterations == 0
     config = ScenarioConfig(n1=15, n2=1)
-    assert config.resolved_iterations(config.resolved_params()) == 3
+    assert config.validate().iterations == 3
 
     # The count is taken without the warning, not by muting it: the
     # process-wide filter list is left alone.
@@ -126,13 +127,13 @@ def test_auto_iterations_resolve_without_warning_noise(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(warnings, "catch_warnings", no_catch_warnings)
         config = ScenarioConfig(n1=1, n2=3)
-        assert config.resolved_iterations(config.resolved_params()) == 0
+        assert config.validate().iterations == 0
         rows = run_sweep(1, 3, 1)
         assert [row.regime for row in rows] == ["invalid", "boundary", "efficient"]
 
     # At most 2**20 rows, checked before any row is built.
     config = ScenarioConfig(n1=3, n2=1, iterations=2**20 - 1)
-    assert config.resolved_iterations(config.resolved_params()) == 2**20 - 1
+    assert config.validate().iterations == 2**20 - 1
 
     def no_rows(*args, **kwargs):
         raise AssertionError("rows were built")
@@ -263,7 +264,7 @@ def test_run_search_rejects_unknown_engine():
 def reference_rows(config, engine):
     """run_search rebuilt from the public per-step functions."""
     params = config.resolved_params()
-    iterations = config.resolved_iterations(params)
+    iterations = config.validate().iterations
     v_init = config.v_init
     two = uniform_state(params)
     system = from_params(params, v_init)
@@ -340,11 +341,42 @@ def test_run_compare_report_equals_verify_analogy(config, cap):
     config = replace(config, statevector_cap=cap)
     rows, report = run_compare(config)
     params = config.resolved_params()
-    iterations = config.resolved_iterations(params)
+    iterations = config.validate().iterations
     assert len(rows) == iterations + 1
     assert rows == run_search(config, engine=ENGINE_BOTH)
     assert report.statevector_included == (params.n_total <= cap)
     assert report == verify_analogy(params, config.v_init, max(1, iterations), cap)
+
+
+@pytest.mark.filterwarnings("ignore::groversim.ProtocolWarning")
+@pytest.mark.parametrize("config", REFERENCE_CONFIGS, ids=lambda c: f"{c.n1}-{c.n2}-{c.log2_n}")
+def test_a_plan_runs_as_its_config(config):
+    plan = config.validate()
+    assert isinstance(plan, Plan)
+    assert plan.params == config.resolved_params()
+    for engine in (ENGINE_ANALYTIC, ENGINE_COLLISION, ENGINE_BOTH):
+        assert run_search(plan, engine=engine) == run_search(config, engine=engine)
+    assert run_compare(plan) == run_compare(config)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ScenarioConfig(n1=3),
+        ScenarioConfig(n1=3, n2=1, v_init=0.0),
+        ScenarioConfig(log2_n=4, v_init=float("inf")),
+        ScenarioConfig(log2_n=40, marked_count=1, iterations=2**20),
+        ScenarioConfig(log2_n=1000),
+    ],
+    ids=["unpaired", "v_init", "energy", "iterations-past-row-limit", "auto-past-row-limit"],
+)
+def test_an_invalid_config_fails_alike_at_every_entry(config):
+    with pytest.raises(ConfigError) as from_validate:
+        config.validate()
+    for run in (run_search, run_compare):
+        with pytest.raises(ConfigError) as from_run:
+            run(config)
+        assert str(from_run.value) == str(from_validate.value)
 
 
 def test_run_compare_runs_each_recursion_once(monkeypatch):

@@ -136,8 +136,14 @@ UNIFORM8 = np.full(8, 1.0 / sqrt(8))
         lambda: [np.int64(5), np.int32(1), np.uint8(3)],
         lambda: [3, 1, 5, 1, 3, 3],  # duplicates collapse
         lambda: [5, True, 3],
+        lambda: np.array([3, 5, 1, 5], dtype=np.int64),
+        lambda: np.array([5, 1, 3], dtype=np.uint8),
+        lambda: np.array([5, 3, 1], dtype=np.uint64),
     ],
-    ids=["list", "set", "range", "generator", "ndarray", "numpy-scalars", "duplicates", "bool"],
+    ids=[
+        "list", "set", "range", "generator", "ndarray", "numpy-scalars", "duplicates", "bool",
+        "int64-ndarray", "uint8-ndarray", "uint64-ndarray",
+    ],
 )
 def test_statevector_accepts_index_collections(make_marked):
     state = StateVector(UNIFORM8, make_marked())
@@ -173,6 +179,13 @@ def test_index_beyond_intp_is_an_index_error():
     for marked in (huge, (i for i in huge)):
         with pytest.raises(IndexError, match=re.escape(message)):
             StateVector(UNIFORM8, marked)
+
+
+def test_uint64_index_beyond_intp_is_an_index_error():
+    # The one astype wraps 2**64 - 1 to -1; the message names the value given.
+    marked = np.array([3, 2**64 - 1, 1], dtype=np.uint64)
+    with pytest.raises(IndexError, match=re.escape("out of range [0, 8): [18446744073709551615]")):
+        StateVector(UNIFORM8, marked)
 
 
 @pytest.mark.parametrize(

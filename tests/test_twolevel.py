@@ -5,7 +5,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from groversim import (
     RegimeWarning,
@@ -24,6 +24,7 @@ from groversim import (
     success_probability,
     uniform_state,
 )
+from groversim.twolevel import _optimal_count
 
 params_strategy = st.builds(
     SearchParams,
@@ -267,6 +268,20 @@ def test_success_probability_equals_sine_squared(params, n):
     assert success_probability(params, n) == pytest.approx(
         math.sin(phi) ** 2, abs=1e-12
     )
+
+
+@given(
+    st.integers(min_value=1, max_value=2**1000),
+    st.integers(min_value=1, max_value=2**1000),
+    st.sampled_from([THETA_EXACT, THETA_APPROX]),
+)
+@example(1, 2**1000, THETA_EXACT)  # theta is pi/2: the argument is exactly 0.0
+@example(1, 2**1000, THETA_APPROX)
+def test_optimal_count_needs_no_clamp(n1, n2, theta_mode):
+    theta = rotation_angle(SearchParams(n1, n2), theta_mode)
+    count = _optimal_count(SearchParams(n1, n2), theta_mode)
+    assert count == round(math.pi / (4.0 * theta) - 0.5)
+    assert count >= 0
 
 
 def test_optimal_iterations_small_cases():
