@@ -67,8 +67,7 @@ def _write(text: str, output: str | None) -> None:
 
 
 def _sample_comments(plan: Plan, draws: int) -> str:
-    params = plan.params
-    state = grover_iterate(init_uniform(params, range(params.n2)), plan.iterations)
+    state = grover_iterate(init_uniform(plan.params, range(plan.params.n2)), plan.iterations)
     counts = Counter(measure_sample(state, plan.seed, draws))
     lines = [f"# sample_draws={draws} seed={plan.seed} iterations={plan.iterations}"]
     lines.extend(f"# sample index={i} count={counts[i]}" for i in sorted(counts))

@@ -1,8 +1,4 @@
-"""Scenario configuration, trajectory assembly, sweeps, and CSV output.
-
-A query is resolved once: ``ScenarioConfig.validate`` returns a ``Plan``.
-``run_search`` and ``run_compare`` take a config, which they validate, or a plan.
-"""
+"""Scenario configuration, trajectory assembly, sweeps, and CSV output."""
 
 from __future__ import annotations
 
@@ -65,40 +61,16 @@ class ScenarioConfig:
     output: str | None = None
 
     def validate(self) -> Plan:
-        """Check every value and resolve the query once into a ``Plan``: the
-        instance the sizing gives and the iteration count, "auto" taken as
-        the optimum, with at most ``_MAX_ROWS`` trajectory rows."""
+        """Check every value and resolve the query once into a ``Plan``, with
+        "auto" iterations taken as the optimum."""
         if self.theta_mode not in (THETA_EXACT, THETA_APPROX):
             raise ConfigError(f"theta_mode must be 'exact' or 'paper', got {self.theta_mode!r}")
-        if not self.v_init > 0:
-            raise ConfigError(f"v_init must be positive, got {self.v_init!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        if self.statevector_cap < 2:
-            raise ConfigError(f"statevector_cap must be >= 2, got {self.statevector_cap!r}")
-        if isinstance(self.iterations, str):
-            if self.iterations != "auto":
-                raise ConfigError(f"iterations must be an integer or 'auto', got {self.iterations!r}")
-        elif self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations!r}")
-        # The total kinetic energy, as the collision engine computes it, must
-        # be a normal float: an overflow turns the energy fractions into NaN,
-        # and below the normal range they lose their precision or divide by 0.
+        if isinstance(self.iterations, str) and self.iterations != "auto":
+            raise ConfigError(f"iterations must be an integer or 'auto', got {self.iterations!r}")
         params = self.resolved_params()
-        energy = 0.5 * params.n_total * self.v_init * self.v_init
-        if not sys.float_info.min <= energy <= sys.float_info.max:
-            raise ConfigError(
-                f"v_init={self.v_init!r} puts the total kinetic energy 0.5*N*v_init**2 "
-                f"at N={params.n_total} outside the normal float range: {energy!r}"
-            )
         # The regime is reported in its own column; no need to warn here.
         auto = self.iterations == "auto"
         iterations = _optimal_count(params, self.theta_mode) if auto else int(self.iterations)
-        if iterations >= _MAX_ROWS:
-            shown = f"auto ({iterations})" if auto else iterations
-            raise ConfigError(
-                f"iterations={shown} would give more than the limit of {_MAX_ROWS} trajectory rows"
-            )
         return Plan(params, iterations, self.v_init, self.seed, self.statevector_cap, self.output)
 
     def resolved_params(self) -> SearchParams:
@@ -139,8 +111,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Plan:
-    """One query as ``ScenarioConfig.validate`` resolved it: the instance,
-    the iteration count and the values a run reads."""
+    """One query as ``ScenarioConfig.validate`` resolves it. Its values are
+    checked whenever a plan is built, by hand too, so a run can trust it."""
 
     params: SearchParams
     iterations: int
@@ -148,6 +120,30 @@ class Plan:
     seed: int
     statevector_cap: int
     output: str | None
+
+    def __post_init__(self) -> None:
+        if not self.v_init > 0:
+            raise ConfigError(f"v_init must be positive, got {self.v_init!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if self.statevector_cap < 2:
+            raise ConfigError(f"statevector_cap must be >= 2, got {self.statevector_cap!r}")
+        if self.iterations < 0:
+            raise ConfigError(f"iterations must be >= 0, got {self.iterations!r}")
+        if self.iterations >= _MAX_ROWS:
+            raise ConfigError(
+                f"iterations={self.iterations} would give more than the limit of "
+                f"{_MAX_ROWS} trajectory rows"
+            )
+        # The total kinetic energy, as the collision engine computes it, must
+        # be a normal float: an overflow turns the energy fractions into NaN,
+        # and below the normal range they lose their precision or divide by 0.
+        energy = 0.5 * self.params.n_total * self.v_init * self.v_init
+        if not sys.float_info.min <= energy <= sys.float_info.max:
+            raise ConfigError(
+                f"v_init={self.v_init!r} puts the total kinetic energy 0.5*N*v_init**2 "
+                f"at N={self.params.n_total} outside the normal float range: {energy!r}"
+            )
 
 
 class TrajectoryRow(NamedTuple):
@@ -174,8 +170,8 @@ class SweepRow:
 
 
 def run_search(query: ScenarioConfig | Plan, engine: str = ENGINE_BOTH) -> list[TrajectoryRow]:
-    """Trajectory rows for n = 0..iterations. ``query`` is a config, which is
-    validated here, or a ``Plan`` that ``validate`` already resolved.
+    """Trajectory rows for n = 0..iterations of a config, which is validated
+    here, or of a ``Plan``.
 
     engine selects who produces the primary columns: ``analytic`` drives the
     two-amplitude recursion and maps velocities through the exact scaling,
@@ -302,7 +298,7 @@ def emit_text(text: str, path) -> None:
 
 def run_compare(query: ScenarioConfig | Plan) -> tuple[list[TrajectoryRow], AnalogyReport]:
     """Rows from the independent engines plus the three-way residual report,
-    for a config, which is validated here, or a ``Plan`` from ``validate``.
+    for a config, which is validated here, or a ``Plan``.
 
     One pass: the report is built from the ``both`` rows, in which the
     two-amplitude recursion and the collision iteration are still computed

@@ -85,20 +85,16 @@ def _sum_of_squares(x: np.ndarray) -> float:
 def _marked_indices(marked, n_total: int) -> np.ndarray:
     """The distinct indices of ``marked`` as a sorted ``np.intp`` array,
     checked to be integers, non-empty, inside ``[0, n_total)`` and to leave
-    one index unmarked. A 1-D integer ndarray is converted with one
-    ``astype``; a uint64 index past intp wraps negative and is refused."""
-    if isinstance(marked, np.ndarray) and marked.ndim == 1 and marked.dtype.kind in "iu":
-        idx = marked.astype(np.intp)
+    one index unmarked."""
+    if not isinstance(marked, Collection):
+        marked = list(marked)  # read a second time if an index overflows intp
+    try:
+        # An array of C integers refuses what operator.index refuses, such as
+        # floats and strings, at a fraction of the cost of calling it on each.
+        idx = np.frombuffer(array(np.dtype(np.intp).char, marked), dtype=np.intp)
+    except OverflowError:  # beyond intp, so out of range too
+        idx = None
     else:
-        if not isinstance(marked, Collection):
-            marked = list(marked)  # read a second time if an index overflows intp
-        try:
-            # An array of C integers refuses what operator.index refuses, such
-            # as floats and strings, at a fraction of the cost of calling it on each.
-            idx = np.frombuffer(array(np.dtype(np.intp).char, marked), dtype=np.intp)
-        except OverflowError:  # beyond intp, so out of range too
-            idx = None
-    if idx is not None:
         idx.sort()
         distinct = idx[1:] != idx[:-1]
         if not distinct.all():

@@ -1,6 +1,7 @@
 """Scenario configs, trajectory/sweep assembly, CSV formatting."""
 
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -377,6 +378,30 @@ def test_an_invalid_config_fails_alike_at_every_entry(config):
         with pytest.raises(ConfigError) as from_run:
             run(config)
         assert str(from_run.value) == str(from_validate.value)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"iterations": 2**30}, "iterations=1073741824 would give more than the limit of 1048576"),
+        ({"iterations": -1}, "iterations must be >= 0, got -1"),
+        ({"v_init": float("nan")}, "v_init must be positive, got nan"),
+        ({"v_init": 1e200}, "outside the normal float range"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"statevector_cap": 1}, "statevector_cap must be >= 2, got 1"),
+    ],
+    ids=["past-row-limit", "negative-iterations", "nan-speed", "energy", "seed", "cap"],
+)
+def test_a_hand_built_plan_is_checked_before_any_row(monkeypatch, values, message):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows were built")
+
+    monkeypatch.setattr("groversim.harness._trajectory", no_rows)
+    good = {"params": SearchParams(3, 1), "iterations": 2, "v_init": 1.0, "seed": 0,
+            "statevector_cap": 2, "output": None}
+    for run in (run_search, run_compare):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run(Plan(**{**good, **values}))
 
 
 def test_run_compare_runs_each_recursion_once(monkeypatch):

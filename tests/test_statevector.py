@@ -182,7 +182,7 @@ def test_index_beyond_intp_is_an_index_error():
 
 
 def test_uint64_index_beyond_intp_is_an_index_error():
-    # The one astype wraps 2**64 - 1 to -1; the message names the value given.
+    # 2**64 - 1 does not fit intp; the message names the value given.
     marked = np.array([3, 2**64 - 1, 1], dtype=np.uint64)
     with pytest.raises(IndexError, match=re.escape("out of range [0, 8): [18446744073709551615]")):
         StateVector(UNIFORM8, marked)
