@@ -44,6 +44,11 @@ class ConfigError(ValueError):
     """Invalid scenario configuration (sizing, values, or file syntax)."""
 
 
+def _check_n_fits_float(params: SearchParams) -> None:
+    if params.n_total > sys.float_info.max:
+        raise ConfigError(f"N = n1 + n2 must not exceed the largest float, {sys.float_info.max!r}")
+
+
 @dataclass
 class ScenarioConfig:
     """One run's worth of knobs. Sizing comes either from (n1, n2), always as
@@ -86,8 +91,7 @@ class ScenarioConfig:
                 params = SearchParams(self.n1, self.n2)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            if params.n_total > sys.float_info.max:
-                raise ConfigError(f"N = n1 + n2 must not exceed the largest float, {sys.float_info.max!r}")
+            _check_n_fits_float(params)
         if have_log2:
             if not 1 <= self.log2_n <= MAX_LOG2_N:
                 raise ConfigError(f"log2_n must be in [1, {MAX_LOG2_N}], got {self.log2_n}")
@@ -135,6 +139,7 @@ class Plan:
                 f"iterations={self.iterations} would give more than the limit of "
                 f"{_MAX_ROWS} trajectory rows"
             )
+        _check_n_fits_float(self.params)  # before the product, which would overflow
         # The total kinetic energy, as the collision engine computes it, must
         # be a normal float: an overflow turns the energy fractions into NaN,
         # and below the normal range they lose their precision or divide by 0.

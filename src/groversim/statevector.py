@@ -16,7 +16,9 @@ rounds of ``collisions._rounds``: the oracle is ball 2's wall bounce and
 diffusion the elastic collision.
 
 ``measure_sample`` is seeded inverse-CDF sampling. It draws its keys in
-fixed chunks, so it holds no array as long as the draws besides the picks.
+fixed chunks and writes each chunk's picks straight into its result, an
+``array.array`` of C ``intp`` integers, so it holds no second array as long
+as the draws and builds no Python int per draw.
 How it finds each pick depends on the draws next to N. With at most N/256
 draws it sums the squares in blocks and rebuilds the running sum only in the
 blocks the keys hit; the a-priori error bound of recursive summation
@@ -61,6 +63,8 @@ _KEY_CHUNK = 1 << 14
 _TABLE_RATIO = 16
 # Block sums replace the sequential running sum once draws * _BLOCK_RATIO <= N.
 _BLOCK_RATIO = 256
+# The ``array`` typecode of one np.intp, so numpy reads such an array in place.
+_INTP = np.dtype(np.intp).char
 
 
 def _block_squares(x: np.ndarray, width: int) -> tuple[np.ndarray, float]:
@@ -91,7 +95,7 @@ def _marked_indices(marked, n_total: int) -> np.ndarray:
     try:
         # An array of C integers refuses what operator.index refuses, such as
         # floats and strings, at a fraction of the cost of calling it on each.
-        idx = np.frombuffer(array(np.dtype(np.intp).char, marked), dtype=np.intp)
+        idx = np.frombuffer(array(_INTP, marked), dtype=np.intp)
     except OverflowError:  # beyond intp, so out of range too
         idx = None
     else:
@@ -369,10 +373,11 @@ def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], 
     return search
 
 
-def _draw_indices(amplitudes: np.ndarray, seed: int, draws: int) -> np.ndarray:
-    """The picks of ``measure_sample`` as an array; every other array it
-    builds is freed when it returns."""
+def _draw_indices(amplitudes: np.ndarray, seed: int, out: array) -> None:
+    """Write the picks of ``measure_sample`` into ``out``, one chunk of keys
+    at a time; every array it builds is freed when it returns."""
     n = amplitudes.size
+    draws = len(out)
     if draws * _BLOCK_RATIO <= n:
         search = _block_search(amplitudes, draws)
     elif draws * _TABLE_RATIO < n:
@@ -380,14 +385,13 @@ def _draw_indices(amplitudes: np.ndarray, seed: int, draws: int) -> np.ndarray:
     else:
         search = _guide_table_search(_cdf(amplitudes))
     rng = np.random.default_rng(seed)
-    picks = np.empty(draws, dtype=np.intp)
+    picks = np.frombuffer(out, dtype=np.intp)  # a view: released on return
     for start in range(0, draws, _KEY_CHUNK):
         keys = rng.random(min(_KEY_CHUNK, draws - start))
         picks[start : start + keys.size] = search(keys)
-    return picks
 
 
-def measure_sample(state: StateVector, seed: int, draws: int) -> list[int]:
+def measure_sample(state: StateVector, seed: int, draws: int) -> array:
     """Draw basis-state indices with probability amplitude**2 each.
 
     Inverse-CDF sampling over the squared amplitudes, driven by numpy's
@@ -395,8 +399,9 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> list[int]:
     platform. Draw j is the first index whose CDF value exceeds key j, the
     j-th uniform from the stream; the CDF is the running sum of the squares
     divided by its last value. The keys are drawn 2^14 at a time, which
-    gives the same stream as one call, so no array as long as the draws
-    exists besides the picks. Each chunk is looked up by one of three means:
+    gives the same stream as one call, and each chunk's picks are written
+    straight into the result, so no other array as long as the draws exists.
+    Each chunk is looked up by one of three means:
 
     - at most N/256 draws: block sums of the squares, with the running sum
       rebuilt only in the blocks the keys hit. A pick is kept where the
@@ -408,7 +413,14 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> list[int]:
     - in between: each key is searched in the exact CDF.
 
     All three give exactly the picks of searching each key on its own.
+
+    The draws are an ``array.array`` of C ``intp`` integers, not boxed ints.
+    Like a list, two results compare with ``==`` as one bool (a list never
+    equals one) and its items are Python ints; ``np.asarray`` reads it
+    without a copy.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    return _draw_indices(state.amplitudes, seed, draws).tolist()
+    out = array(_INTP, [0]) * draws
+    _draw_indices(state.amplitudes, seed, out)
+    return out

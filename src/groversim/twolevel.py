@@ -129,7 +129,12 @@ def matrix_power(params: SearchParams, n: int) -> np.ndarray:
     phi = 2.0 * n * rotation_angle(params)
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     rho = math.sqrt(params.n1 / params.n2)
-    return np.array((cos_phi, -sin_phi / rho, rho * sin_phi, cos_phi)).reshape(2, 2)
+    # Four stores into an empty 2x2 beat parsing a tuple into an array.
+    power = np.empty((2, 2))
+    power[0, 0] = power[1, 1] = cos_phi
+    power[0, 1] = -sin_phi / rho
+    power[1, 0] = rho * sin_phi
+    return power
 
 
 def closed_form(params: SearchParams, n: int, theta_mode: str = THETA_EXACT) -> TwoLevelState:

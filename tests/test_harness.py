@@ -389,8 +389,12 @@ def test_an_invalid_config_fails_alike_at_every_entry(config):
         ({"v_init": 1e200}, "outside the normal float range"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"statevector_cap": 1}, "statevector_cap must be >= 2, got 1"),
+        ({"params": SearchParams(2**1100, 1)}, "N = n1 + n2 must not exceed the largest float"),
     ],
-    ids=["past-row-limit", "negative-iterations", "nan-speed", "energy", "seed", "cap"],
+    ids=[
+        "past-row-limit", "negative-iterations", "nan-speed", "energy", "seed", "cap",
+        "n-past-float",
+    ],
 )
 def test_a_hand_built_plan_is_checked_before_any_row(monkeypatch, values, message):
     def no_rows(*args, **kwargs):

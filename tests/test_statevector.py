@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+from array import array
 from fractions import Fraction
 from math import fsum, sqrt
 
@@ -516,7 +517,7 @@ def test_measure_sample_matches_searching_each_draw_on_its_own(
     cdf /= cdf[-1]
     keys = np.random.default_rng(sample_seed).random(draws)
     expected = [int(np.searchsorted(cdf, key, side="right")) for key in keys]
-    assert measure_sample(state, sample_seed, draws) == expected
+    assert measure_sample(state, sample_seed, draws).tolist() == expected
 
 
 def test_measure_sample_at_two_to_the_twenty_matches_the_plain_reference():
@@ -531,7 +532,7 @@ def test_measure_sample_at_two_to_the_twenty_matches_the_plain_reference():
     cdf = np.cumsum(amps * amps)
     keys = np.random.default_rng(5).random(4000)
     expected = np.searchsorted(cdf / cdf[-1], keys, side="right").tolist()
-    assert measure_sample(state, 5, 4000) == expected
+    assert measure_sample(state, 5, 4000).tolist() == expected
 
 
 def _adversarial_states(n):
@@ -587,18 +588,38 @@ def test_block_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeyp
 
 
 def test_measure_sample_peak_memory_beside_the_picks_is_bounded():
-    # Apart from the returned list, sampling may hold the picks as an array
-    # (8 bytes a draw) and O(N) tables, never a second draws-long array.
+    # The whole call, its result included, holds the picks once (8 bytes a
+    # draw) and O(N) tables: no second draws-long buffer, no boxed ints.
     n, draws = 2**18, 10**6
     state = grover_iterate(init_uniform(SearchParams(n - 1024, 1024), range(0, n, 256)), 3)
     tracemalloc.start()
     try:
         picks = measure_sample(state, 9, draws)
-        listed, peak = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(picks) == draws
-    assert peak - listed <= 8 * draws + 64 * n
+    assert peak <= 8 * draws + 64 * n
+
+
+@pytest.mark.parametrize("draws", [8, 100, 1000], ids=["block-sums", "plain-cdf", "guide-table"])
+def test_measure_sample_returns_machine_ints_filled_in_place(draws):
+    # At N = 2**12: 8 * 256 <= N takes the block sums, 100 * 16 < N searches
+    # each key in the CDF, and 1000 * 16 >= N takes the guide table.
+    n = 2**12
+    state = grover_iterate(init_uniform(SearchParams(n - 5, 5), [3, 70, 1000, 2048, 4095]), 4)
+    picks = measure_sample(state, 21, draws)
+    assert isinstance(picks, array)
+    assert picks.typecode == np.dtype(np.intp).char
+    cdf = np.cumsum(state.amplitudes * state.amplitudes)
+    cdf /= cdf[-1]
+    keys = np.random.default_rng(21).random(draws)
+    expected = [int(np.searchsorted(cdf, key, side="right")) for key in keys]
+    assert len(picks) == draws
+    assert all(type(pick) is int and pick == want for pick, want in zip(picks, expected))
+    assert picks == array(picks.typecode, expected)
+    picks.append(0)  # BufferError if a numpy view of the result were still open
+    assert len(picks) == draws + 1
 
 
 # --- the uniform start ------------------------------------------------------
@@ -668,7 +689,7 @@ def test_kernels_return_fresh_writeable_vectors(log2_n, kernel):
 
 def test_measure_sample_is_deterministic_on_point_mass():
     state = StateVector([0.0, 0.0, 0.0, 1.0], {3})
-    assert measure_sample(state, seed=1, draws=50) == [3] * 50
+    assert measure_sample(state, seed=1, draws=50).tolist() == [3] * 50
 
 
 def test_measure_sample_reproducible_for_fixed_seed():
