@@ -19,15 +19,16 @@ diffusion the elastic collision.
 fixed chunks and writes each chunk's picks straight into its result, an
 ``array.array`` of C ``intp`` integers, so it holds no second array as long
 as the draws and builds no Python int per draw.
-How it finds each pick depends on the draws next to N. With at most N/256
-draws it sums the squares in blocks and rebuilds the running sum only in the
-blocks the keys hit; the a-priori error bound of recursive summation
-(Higham 2002, section 4.2) proves each pick equal to the exact one, and a
-key it cannot prove is searched in the exact CDF. With at least N/16 draws
-it finds each pick through a guide table (Chen & Asau 1974; Devroye 1986,
-section III.2) of about 2N bucket bounds, with neither a sort nor a binary
-search over the whole CDF. In between it searches the exact CDF for each
-key, since neither the table nor the block sums would pay.
+With fewer than N/16 draws, a vector of few runs of equal amplitude, as
+every state ``grover_iterate`` builds from ``init_uniform`` is (two values,
+at most 2*n2 + 1 runs), is sampled run by run from the run sums alone; any
+other vector from block sums of the squares (at most N/256 draws) or from
+the exact CDF. The a-priori error bound of recursive summation (Higham
+2002, section 4.2) proves the picks of those sums equal to the exact ones,
+and a key it cannot prove is searched in the exact CDF. With at least N/16
+draws a guide table (Chen & Asau 1974; Devroye 1986, section III.2) of
+about 2N bucket bounds finds each pick, with neither a sort nor a binary
+search over the whole CDF.
 
 Invariants are checked when a state is built from caller input; the
 kernels, two reflections, keep them by construction. A vector that repeats
@@ -63,6 +64,10 @@ _KEY_CHUNK = 1 << 14
 _TABLE_RATIO = 16
 # Block sums replace the sequential running sum once draws * _BLOCK_RATIO <= N.
 _BLOCK_RATIO = 256
+# The run path takes vectors of at most this many runs of equal amplitude.
+# For 256 draws it beat the block sums and the plain CDF at 1024 runs from
+# N = 2^14 to 2^18, and lost to them at 2^18 from about 1500 runs on.
+_MAX_RUNS = 1024
 # The ``array`` typecode of one np.intp, so numpy reads such an array in place.
 _INTP = np.dtype(np.intp).char
 
@@ -81,7 +86,10 @@ def _sum_of_squares(x: np.ndarray) -> float:
     pool and stalls when another process holds a core. einsum sums blocks of
     ``_SQUARES_BLOCK`` products and numpy's pairwise sum adds the block
     totals, which keeps the result within a few ulps of the exact sum and
-    allocates only N/_SQUARES_BLOCK partial sums."""
+    allocates only N/_SQUARES_BLOCK partial sums. Fewer values than one
+    block are one einsum, the same float as ``0.0 + tail``."""
+    if x.size < _SQUARES_BLOCK:
+        return float(np.einsum("i,i->", x, x))
     sums, tail = _block_squares(x, _SQUARES_BLOCK)
     return float(sums.sum() + tail)
 
@@ -296,75 +304,48 @@ def _cdf(amplitudes: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], np.ndarray]:
+def _proven_search(
+    amplitudes: np.ndarray,
+    total: float,
+    rounds: int,
+    candidates: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Callable[[np.ndarray], np.ndarray]:
     """``np.searchsorted(_cdf(amplitudes), keys, side="right")`` for keys in
-    [0, 1), proven from block sums instead of the N-long running sum.
+    [0, 1), from candidate picks proven exact by an error bound.
 
-    The squares are summed in blocks of ``width``, a power of two near
-    sqrt(N/draws), and the block sums are run up into ``prefix``. For each
-    key the block holding ``target = key * total`` is found in ``prefix``,
-    the running sum is rebuilt inside that block only, and the candidate
-    pick ``p`` is the first index there whose sum exceeds ``target``.
-
-    The CDF value at i is c_i / T, where c_i is the running sum of the
-    rounded squares and T = c_{N-1}. Each of c_i, T, a rebuilt sum and
-    ``total`` is the sum of the exact squares with every term off by a
-    factor within 1 +- gamma_K (Higham 2002, section 4.2 and lemma 3.1),
-    whatever the order of the additions and whether einsum rounds or fuses
-    its products; squares that underflow add at most 2**-1075 each.
-    ``rounds`` (K) counts the roundings on the way to one comparison: N each
-    for c_i and T, 2*width + blocks for a rebuilt sum, width + blocks for
-    ``total``, a few for the product, the quotient and the band, and spare.
-    With ``delta = 2*K*2**-53 >= gamma_K`` and ``alpha`` twice the summed
-    underflow, a rebuilt sum below ``target*(1 - delta) - alpha`` proves its
-    CDF value ``<= key`` and one above ``target*(1 + delta) + alpha`` proves
-    it ``> key``. The CDF is non-decreasing, so proving the sums just before
-    and at ``p`` proves ``p`` exact: a floating-point filter with an exact
-    fallback (Shewchuk 1997).
-
-    A key that is not proven, because a neighbouring sum lies in the band or
-    ``p`` would leave the rebuilt block, is searched in the exact CDF, built
-    on first need and kept for the later chunks.
+    For each ``target = key * total``, ``candidates`` gives a pick p and
+    its sums of the squares up to p - 1 and up to p, found some way other
+    than the N-long running sum; ``total`` is the sum of all the squares
+    found that same way. The CDF value at i is c_i / T, where c_i is the
+    running sum of the rounded squares and T = c_{N-1}. Each of c_i, T, a
+    candidate's sum and ``total`` is the sum of the exact squares with every
+    term off by a factor within 1 +- gamma_K (Higham 2002, section 4.2 and
+    lemma 3.1), whatever the order of the additions and whether a product
+    is rounded or fused. ``rounds`` (K) counts the roundings on the way to
+    one comparison. A square or product that underflows errs by at most
+    2**-1075; the four sums hold at most 6N + 2 such errors, and
+    ``alpha = (8N + 64)*2**-1075`` covers them. With
+    ``delta = 2*K*2**-53 >= gamma_K``, a sum below
+    ``target*(1 - delta) - alpha`` proves its CDF value ``<= key`` and one
+    above ``target*(1 + delta) + alpha`` proves it ``> key``. The CDF is
+    non-decreasing, so proving the sums just before and at p proves p
+    exact: a floating-point filter with an exact fallback (Shewchuk 1997).
+    A key that is not proven is searched in the exact CDF, built on first
+    need and kept for the later chunks.
     """
-    n = amplitudes.size
-    width = 1 << min(max((n // draws).bit_length() // 2, 3), 8)
-    sums, tail = _block_squares(amplitudes, width)
-    if n % width:  # the ragged tail is one more, shorter, block
-        sums = np.append(sums, tail)
-    prefix = np.cumsum(sums)
-    before = np.concatenate(([0.0], prefix[:-1]))  # the sum ahead of each block
-    total = prefix[-1]
-    rounds = 2 * n + 3 * width + 2 * prefix.size + 16
     delta = 2 * rounds * 2.0**-53
-    alpha = (4 * n + 32) * 2.0**-1074
-    offsets = np.arange(width)
+    below, above = 1.0 - delta, 1.0 + delta
+    alpha = (4 * amplitudes.size + 32) * 2.0**-1074
     cdf = None
 
     def search(keys: np.ndarray) -> np.ndarray:
         nonlocal cdf
         target = keys * total
-        block = np.searchsorted(prefix, target, side="right")
-        np.minimum(block, prefix.size - 1, out=block)
-        start = block * width
-        # running[k, r]: the sum up to index start + r - 1. Indices past N in
-        # a ragged last block repeat the last amplitude, so their sums are at
-        # least the one at N - 1. That one is within the error bound of
-        # total >= target, so never below the band: no pick past N - 1 is
-        # proven.
-        running = np.empty((keys.size, width + 1))
-        running[:, 0] = before[block]
-        np.square(amplitudes.take(start[:, None] + offsets, mode="clip"), out=running[:, 1:])
-        np.cumsum(running, axis=1, out=running)
-        r = np.count_nonzero(running[:, 1:] <= target[:, None], axis=1)
-        rows = np.arange(keys.size)
-        # r == width leaves the block; the sum compared above is then its
-        # last one, which is <= target, so the key is not proven.
-        proven = (running[rows, r] < target * (1.0 - delta) - alpha) & (
-            running[rows, np.minimum(r + 1, width)] > target * (1.0 + delta) + alpha
-        )
-        picks = start + r
-        unproven = np.flatnonzero(~proven)
-        if unproven.size:
+        picks, sum_before, sum_at = candidates(target)
+        proven = sum_before < target * below - alpha
+        proven &= sum_at > target * above + alpha
+        if not proven.all():
+            unproven = np.flatnonzero(~proven)
             if cdf is None:
                 cdf = _cdf(amplitudes)
             picks[unproven] = np.searchsorted(cdf, keys[unproven], side="right")
@@ -373,17 +354,118 @@ def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], 
     return search
 
 
+def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``_proven_search`` from block sums of the squares.
+
+    The squares are summed in blocks of ``width``, a power of two near
+    sqrt(N/draws), and the block sums are run up into ``prefix``. For each
+    key the block holding ``target`` is found in ``prefix``, the running
+    sum is rebuilt inside that block only, and the candidate pick p is the
+    first index there whose sum exceeds ``target``; a p that would leave
+    the block is not proven. K counts N each for c_i and T, 2*width + blocks
+    for a rebuilt sum, width + blocks for ``total``, a few for the product,
+    the quotient and the band, and spare: K = 2N + 3*width + 2*blocks + 16.
+    """
+    n = amplitudes.size
+    width = 1 << min(max((n // draws).bit_length() // 2, 3), 8)
+    sums, tail = _block_squares(amplitudes, width)
+    if n % width:  # the ragged tail is one more, shorter, block
+        sums = np.append(sums, tail)
+    prefix = np.cumsum(sums)
+    before = np.concatenate(([0.0], prefix[:-1]))  # the sum ahead of each block
+    offsets = np.arange(width)
+
+    def candidates(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        block = np.searchsorted(prefix, target, side="right")
+        np.minimum(block, prefix.size - 1, out=block)
+        start = block * width
+        # running[k, r]: the sum up to index start + r - 1. Indices past N in
+        # a ragged last block repeat the last amplitude, so their sums are at
+        # least the one at N - 1. That one is within the error bound of
+        # total >= target, so never below the band: no pick past N - 1 is
+        # proven.
+        running = np.empty((target.size, width + 1))
+        running[:, 0] = before[block]
+        np.square(amplitudes.take(start[:, None] + offsets, mode="clip"), out=running[:, 1:])
+        np.cumsum(running, axis=1, out=running)
+        r = np.count_nonzero(running[:, 1:] <= target[:, None], axis=1)
+        rows = np.arange(target.size)
+        # r == width leaves the block; the sum at p is then the block's last
+        # one, which is <= target, so the key is not proven.
+        return start + r, running[rows, r], running[rows, np.minimum(r + 1, width)]
+
+    rounds = 2 * n + 3 * width + 2 * prefix.size + 16
+    return _proven_search(amplitudes, prefix[-1], rounds, candidates)
+
+
+def _run_search(amplitudes: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+    """``_proven_search`` from the runs of equal amplitude, or None when
+    there are more than ``_MAX_RUNS`` runs.
+
+    Of the R runs, one of length L and rounded square q adds q to the
+    running sum L times. Runs with q == 0.0 are dropped: adding 0.0 is
+    exact, so their CDF values repeat the one before and are never picked.
+    Each other run is summed as L*q, the sums are run up into ``prefix``,
+    and ``before``, the sum ahead of each run, is ``prefix`` shifted by one
+    place, never a difference. For each key the run holding ``target`` is
+    found in ``prefix``; the candidate offset is
+    ``r = floor(min(target - before, L*q) / q)``, at most L - 1 (the cap
+    keeps the quotient near L when q is subnormal), and the candidate's
+    sums are ``before + r*q`` and that plus q. K counts N each for c_i and
+    T, R + 4 for a candidate's sum (the square, L*q, the run-up over at
+    most R runs, r*q and two additions), R + 2 for ``total``, a few for the
+    product, the quotient and the band, and spare: K = 2N + 2R + 16.
+    """
+    n = amplitudes.size
+    # Most vectors with many runs show them early: refuse those before the
+    # full pass, and count before finding the edges, which is slow per edge.
+    head = amplitudes[: 4 * _MAX_RUNS]
+    if np.count_nonzero(head[1:] != head[:-1]) >= _MAX_RUNS:
+        return None
+    changed = amplitudes[1:] != amplitudes[:-1]
+    if np.count_nonzero(changed) >= _MAX_RUNS:
+        return None
+    bounds = np.concatenate(([0], np.flatnonzero(changed) + 1, [n]))
+    starts, lengths = bounds[:-1], bounds[1:] - bounds[:-1]
+    squares = np.square(amplitudes.take(starts))
+    if not squares.all():
+        nonzero = np.flatnonzero(squares)
+        starts, lengths, squares = starts[nonzero], lengths[nonzero], squares[nonzero]
+    sums = lengths * squares
+    prefix = np.cumsum(sums)
+    before = np.concatenate(([0.0], prefix[:-1]))
+    last = lengths - 1.0
+
+    def candidates(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        run = np.searchsorted(prefix, target, side="right")
+        np.minimum(run, prefix.size - 1, out=run)
+        lo = before.take(run)
+        q = squares.take(run)
+        # target >= lo, since the run was found as the first prefix above it.
+        r = np.minimum(target - lo, sums.take(run))
+        r /= q
+        np.floor(r, out=r)
+        np.minimum(r, last.take(run), out=r)
+        picks = starts.take(run) + r.astype(np.intp)
+        r *= q
+        lo += r
+        return picks, lo, lo + q
+
+    return _proven_search(amplitudes, prefix[-1], 2 * n + 2 * prefix.size + 16, candidates)
+
+
 def _draw_indices(amplitudes: np.ndarray, seed: int, out: array) -> None:
     """Write the picks of ``measure_sample`` into ``out``, one chunk of keys
     at a time; every array it builds is freed when it returns."""
     n = amplitudes.size
     draws = len(out)
-    if draws * _BLOCK_RATIO <= n:
-        search = _block_search(amplitudes, draws)
-    elif draws * _TABLE_RATIO < n:
-        search = functools.partial(np.searchsorted, _cdf(amplitudes), side="right")
-    else:
+    if draws * _TABLE_RATIO >= n:
         search = _guide_table_search(_cdf(amplitudes))
+    elif (search := _run_search(amplitudes)) is None:
+        if draws * _BLOCK_RATIO <= n:
+            search = _block_search(amplitudes, draws)
+        else:
+            search = functools.partial(np.searchsorted, _cdf(amplitudes), side="right")
     rng = np.random.default_rng(seed)
     picks = np.frombuffer(out, dtype=np.intp)  # a view: released on return
     for start in range(0, draws, _KEY_CHUNK):
@@ -401,18 +483,21 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> array:
     divided by its last value. The keys are drawn 2^14 at a time, which
     gives the same stream as one call, and each chunk's picks are written
     straight into the result, so no other array as long as the draws exists.
-    Each chunk is looked up by one of three means:
+    Each chunk is looked up by one of four means:
 
-    - at most N/256 draws: block sums of the squares, with the running sum
-      rebuilt only in the blocks the keys hit. A pick is kept where the
-      rounding-error bound of those sums proves it exact; any other key is
-      searched in the exact CDF, built once on first need (see
-      ``_block_search``).
-    - at least N/16 draws: a guide table that costs O(N) to build (see
-      ``_guide_table_search``).
-    - in between: each key is searched in the exact CDF.
+    - fewer than N/16 draws from a vector of at most ``_MAX_RUNS`` runs of
+      equal amplitude, as every Grover state from the uniform start is:
+      the run sums, with no N-long running sum (``_run_search``).
+    - any other vector with at most N/256 draws: block sums of the squares,
+      with the running sum rebuilt only in the blocks the keys hit
+      (``_block_search``).
+    - at least N/16 draws: a guide table, O(N) to build
+      (``_guide_table_search``).
+    - otherwise: each key is searched in the exact CDF.
 
-    All three give exactly the picks of searching each key on its own.
+    The first two keep a pick only where a rounding-error bound proves it
+    exact, and search any other key in the exact CDF (``_proven_search``),
+    so all four give exactly the picks of searching each key on its own.
 
     The draws are an ``array.array`` of C ``intp`` integers, not boxed ints.
     Like a list, two results compare with ``==`` as one bool (a list never

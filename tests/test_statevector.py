@@ -485,6 +485,9 @@ CHUNK = statevector._KEY_CHUNK
 @example(state_seed=7, n=4096, kind="random", sample_seed=8, draws=16)
 @example(state_seed=7, n=4096, kind="random", sample_seed=8, draws=17)
 # Block sums over an N that is no multiple of the block width (32 here).
+@example(state_seed=9, n=5000, kind="random", sample_seed=10, draws=3)
+@example(state_seed=9, n=5000, kind="with-zeros", sample_seed=10, draws=3)
+# A few runs of equal amplitude: the run path.
 @example(state_seed=9, n=5000, kind="point-mass", sample_seed=10, draws=3)
 @example(state_seed=9, n=5000, kind="zero-runs", sample_seed=10, draws=3)
 # One chunk less one, exactly one chunk, and several with a ragged last chunk.
@@ -495,8 +498,8 @@ def test_measure_sample_matches_searching_each_draw_on_its_own(
     state_seed, n, kind, sample_seed, draws
 ):
     """The picks, in draw order, are those of searching every uniform key of
-    the seeded stream on its own, on the guide-table, plain and block-sum
-    paths, with exactly-zero amplitudes (tied CDF values), long zero runs
+    the seeded stream on its own, on the guide-table, plain, block-sum and
+    run paths, with exactly-zero amplitudes (tied CDF values), long zero runs
     that put many CDF values in one bucket, and point masses."""
     rng = np.random.default_rng(state_seed)
     if kind == "point-mass":
@@ -587,6 +590,112 @@ def test_block_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeyp
     assert wide.any() and not in_gaps[wide].any()
 
 
+@pytest.mark.parametrize("n", [1000, 3001, 2**16])
+@pytest.mark.parametrize("kind", ["uniform", "grover", "zero-runs", "underflow"])
+def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypatch, n, kind):
+    """Keys at, beside and between the CDF values at the edges of the runs:
+    a key equal to a CDF value or one step from it must go to the exact CDF
+    and get its pick there, and a key halfway between CDF values that differ
+    enough is settled by the run sums alone."""
+    amps = _adversarial_states(n)[kind]
+    if kind == "underflow":  # the same values in runs of 64, not one by one
+        amps = np.repeat(amps[::64], 64)[:n]
+        amps /= sqrt(fsum((amps * amps).tolist()))
+    cdf = np.cumsum(amps * amps)
+    cdf /= cdf[-1]
+    starts = np.r_[0, np.flatnonzero(amps[1:] != amps[:-1]) + 1]  # where each run begins
+    assert starts.size <= statevector._MAX_RUNS
+    # The last index ahead of each run, its first, its second, and the tail.
+    at = np.r_[starts - 1, starts, starts + 1, n // 2, n - 3 : n - 1]
+    at = np.unique(at[(at >= 0) & (at < n - 1)])
+    edges = np.r_[cdf[at], np.nextafter(cdf[at], 0.0), np.nextafter(cdf[at], 1.0), 0.0]
+    edges = np.r_[edges[edges < 1.0], np.nextafter(1.0, 0.0)]
+    gaps = (cdf[at] + cdf[at + 1]) / 2
+    keys = np.r_[edges, gaps]
+
+    def reference(k):
+        return [int(np.searchsorted(cdf, key, side="right")) for key in k]
+
+    builds, exact_cdf = [], statevector._cdf
+    monkeypatch.setattr(statevector, "_cdf", lambda a: builds.append(1) or exact_cdf(a))
+    search = statevector._run_search(amps)
+    assert search is not None
+    # All the keys in one call, proven and unproven ones mixed.
+    assert search(keys).tolist() == reference(keys)
+    assert len(builds) == 1
+    # Key by key, counting the keys that needed the exact CDF.
+    fell_back = []
+    for key in keys:
+        builds.clear()
+        assert statevector._run_search(amps)(np.array([key])).tolist() == reference([key])
+        fell_back.append(bool(builds))
+    at_edges, in_gaps = np.split(np.array(fell_back), [edges.size])
+    assert at_edges.all()
+    wide = np.diff(cdf)[at] > 1e-6
+    assert wide.any() and not in_gaps[wide].any()
+
+
+@pytest.mark.filterwarnings("ignore::groversim.RegimeWarning")
+@given(
+    st.integers(min_value=2, max_value=16),
+    st.integers(min_value=1, max_value=511),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["none", "optimal", "over-rotated", "any"]),
+    st.integers(min_value=0, max_value=400),
+)
+@example(log2_n=16, n2=1, seed=3, counting="optimal", count=0)
+@example(log2_n=16, n2=511, seed=4, counting="over-rotated", count=0)
+@example(log2_n=2, n2=3, seed=5, counting="any", count=7)
+def test_run_search_matches_the_exact_search_on_grover_states(log2_n, n2, seed, counting, count):
+    """Any Grover state from the uniform start has at most 2*n2 + 1 runs,
+    so it takes the run path; its picks are those of a per-key search of
+    the exact CDF, for counts from none through the optimum to over-rotated
+    ones. Four entries with three of them marked, and keys at the CDF values
+    next to the marked entries, are among the cases."""
+    n = 2**log2_n
+    n2 = min(n2, n - 1)
+    rng = np.random.default_rng(seed)
+    params = SearchParams(n - n2, n2)
+    start = init_uniform(params, rng.choice(n, n2, replace=False))
+    optimum = optimal_iterations(params)
+    count = {"none": 0, "optimal": optimum, "over-rotated": 2 * optimum + 1 + count % 7}.get(
+        counting, count
+    )
+    amps = grover_iterate(start, count).amplitudes
+    cdf = np.cumsum(amps * amps)
+    cdf /= cdf[-1]
+    near = np.r_[start._marked_idx - 1, start._marked_idx].clip(0, n - 1)
+    keys = np.r_[rng.random(200), cdf[near], np.nextafter(cdf[near], 0.0)]
+    keys = keys[keys < 1.0]
+    search = statevector._run_search(amps)
+    assert search is not None
+    expected = [int(np.searchsorted(cdf, key, side="right")) for key in keys]
+    assert search(keys).tolist() == expected
+    draws = max(1, n // 17)
+    expected = np.searchsorted(cdf, np.random.default_rng(seed).random(draws), side="right")
+    assert measure_sample(grover_iterate(start, count), seed, draws).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("log2_n", [13, 14, 18])
+@pytest.mark.parametrize("head", ["random", "constant"])
+def test_random_amplitudes_do_not_take_the_run_path(log2_n, head):
+    # Random amplitudes have a run per entry; with a constant head of 4096
+    # entries the refusal comes from the count over the whole vector.
+    n = 2**log2_n
+    amps = np.random.default_rng(log2_n).standard_normal(n)
+    if head == "constant":
+        amps[:4096] = amps[0]
+    assert statevector._run_search(amps) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 255, 256, 257, 1000])
+def test_sum_of_squares_is_the_blocked_sum_at_every_length(n):
+    # Below one block the sum is one einsum, the float that 0.0 + tail gave.
+    x = np.random.default_rng(n).standard_normal(n)
+    sums, tail = statevector._block_squares(x, statevector._SQUARES_BLOCK)
+    assert statevector._sum_of_squares(x) == float(sums.sum() + tail)
+
+
 def test_measure_sample_peak_memory_beside_the_picks_is_bounded():
     # The whole call, its result included, holds the picks once (8 bytes a
     # draw) and O(N) tables: no second draws-long buffer, no boxed ints.
@@ -602,12 +711,40 @@ def test_measure_sample_peak_memory_beside_the_picks_is_bounded():
     assert peak <= 8 * draws + 64 * n
 
 
-@pytest.mark.parametrize("draws", [8, 100, 1000], ids=["block-sums", "plain-cdf", "guide-table"])
-def test_measure_sample_returns_machine_ints_filled_in_place(draws):
-    # At N = 2**12: 8 * 256 <= N takes the block sums, 100 * 16 < N searches
-    # each key in the CDF, and 1000 * 16 >= N takes the guide table.
+@pytest.mark.parametrize(
+    "kind, draws, path",
+    [
+        ("random", 8, "block-sums"),
+        ("random", 100, "plain-cdf"),
+        ("grover", 1000, "guide-table"),
+        ("grover", 8, "runs"),
+        ("grover", 100, "runs"),
+    ],
+    ids=["block-sums", "plain-cdf", "guide-table", "grover-runs-8", "grover-runs-100"],
+)
+def test_measure_sample_returns_machine_ints_filled_in_place(monkeypatch, kind, draws, path):
+    # At N = 2**12: 1000 * 16 >= N takes the guide table. Below that a
+    # Grover state of at most 11 runs takes the run path, and random amplitudes the
+    # block sums (8 * 256 <= N) or a search of each key in the CDF.
     n = 2**12
-    state = grover_iterate(init_uniform(SearchParams(n - 5, 5), [3, 70, 1000, 2048, 4095]), 4)
+    if kind == "grover":
+        state = grover_iterate(init_uniform(SearchParams(n - 5, 5), [3, 70, 1000, 2048, 4095]), 4)
+    else:
+        amps = np.random.default_rng(draws).standard_normal(n)
+        state = StateVector(amps / sqrt(fsum((amps * amps).tolist())), [3])
+    taken = []
+    for name, builder in [
+        ("runs", "_run_search"),
+        ("block-sums", "_block_search"),
+        ("guide-table", "_guide_table_search"),
+    ]:
+        def spy(*args, name=name, build=getattr(statevector, builder)):
+            search = build(*args)
+            if search is not None:
+                taken.append(name)
+            return search
+
+        monkeypatch.setattr(statevector, builder, spy)
     picks = measure_sample(state, 21, draws)
     assert isinstance(picks, array)
     assert picks.typecode == np.dtype(np.intp).char
@@ -620,6 +757,7 @@ def test_measure_sample_returns_machine_ints_filled_in_place(draws):
     assert picks == array(picks.typecode, expected)
     picks.append(0)  # BufferError if a numpy view of the result were still open
     assert len(picks) == draws + 1
+    assert taken == ([] if path == "plain-cdf" else [path])
 
 
 # --- the uniform start ------------------------------------------------------
@@ -638,7 +776,7 @@ def test_uniform_start_gives_the_results_of_the_materialized_start(log2_n, share
     for kernel in kernels:
         assert kernel(start).amplitudes.tobytes() == kernel(reference).amplitudes.tobytes()
     assert marked_probability(start) == marked_probability(reference)
-    # From 2^12 up: block sums, the plain CDF search and the guide table.
+    # From 2^12 up: one run sampled run by run, and the guide table.
     for draws in (max(n // ratio, 1) for ratio in (512, 64, 8)):
         assert measure_sample(start, 11, draws) == measure_sample(reference, 11, draws)
 
