@@ -13,7 +13,13 @@ invariant subspace spanned by the unmarked and marked means, so ``count``
 iterations of any state cost O(N + n2 + count), not O(count * N). The two
 means move as the velocities of balls of mass n1 and n2 under ``count``
 rounds of ``collisions._rounds``: the oracle is ball 2's wall bounce and
-diffusion the elastic collision.
+diffusion the elastic collision. From a broadcast start, one amplitude
+repeated N times as ``init_uniform`` builds it, those means and where they
+move depend on the amplitude, N, n2 and ``count`` alone, not on which
+states are marked. So they are kept in a ``functools.lru_cache`` keyed on
+those four and bounded to ``_CLASS_CACHE_SIZE`` shapes of four floats each:
+a search of a shape already run skips the N-long sum, the rounds and the
+gather, and makes the one pass that writes its result.
 
 ``measure_sample`` is seeded inverse-CDF sampling. It draws its keys in
 fixed chunks and writes each chunk's picks straight into its result, an
@@ -70,6 +76,10 @@ _BLOCK_RATIO = 256
 _MAX_RUNS = 1024
 # The ``array`` typecode of one np.intp, so numpy reads such an array in place.
 _INTP = np.dtype(np.intp).char
+_INTP_SIZE = np.dtype(np.intp).itemsize
+# Shapes (amplitude, N, n2, count) whose class amplitudes grover_iterate
+# keeps for a broadcast start: four floats each.
+_CLASS_CACHE_SIZE = 256
 
 
 def _block_squares(x: np.ndarray, width: int) -> tuple[np.ndarray, float]:
@@ -100,13 +110,25 @@ def _marked_indices(marked, n_total: int) -> np.ndarray:
     one index unmarked."""
     if not isinstance(marked, Collection):
         marked = list(marked)  # read a second time if an index overflows intp
-    try:
-        # An array of C integers refuses what operator.index refuses, such as
-        # floats and strings, at a fraction of the cost of calling it on each.
-        idx = np.frombuffer(array(_INTP, marked), dtype=np.intp)
-    except OverflowError:  # beyond intp, so out of range too
-        idx = None
+    if (
+        isinstance(marked, np.ndarray)
+        and marked.ndim == 1
+        and marked.dtype.kind in "iu"
+        and marked.dtype.itemsize <= _INTP_SIZE
+    ):
+        # One cast: exact, but for unsigned indices as wide as intp, whose
+        # values past intp's maximum wrap below zero, where the range check
+        # finds them.
+        idx = marked.astype(np.intp)
     else:
+        try:
+            # An array of C integers refuses what operator.index refuses, such
+            # as floats and strings, at a fraction of the cost of calling it on
+            # each.
+            idx = np.frombuffer(array(_INTP, marked), dtype=np.intp)
+        except OverflowError:  # beyond intp, so out of range too
+            idx = None
+    if idx is not None:
         idx.sort()
         distinct = idx[1:] != idx[:-1]
         if not distinct.all():
@@ -218,6 +240,32 @@ def apply_diffusion(state: StateVector) -> StateVector:
     return _reflect_about_mean(state)[0]
 
 
+def _class_amplitudes(
+    amps: np.ndarray, marked: np.ndarray, count: int
+) -> tuple[float, float, float, float]:
+    """The unmarked and marked means ``mu`` and ``mm`` of ``amps``, whose
+    marked entries are ``marked``, and the pair ``(a, b)`` they move to in
+    ``count`` >= 1 iterations."""
+    n2 = marked.size
+    n1 = amps.size - n2
+    marked_sum = float(marked.sum())
+    mu = (float(amps.sum()) - marked_sum) / n1
+    mm = marked_sum / n2
+    # float(n1) and float(n2) are exact: no vector has 2**53 entries.
+    a, b = next(islice(_rounds(float(n1), float(n2), mu, mm), count - 1, None))
+    return mu, mm, a, b
+
+
+@functools.lru_cache(maxsize=_CLASS_CACHE_SIZE)
+def _uniform_class_amplitudes(
+    value: float, n: int, n2: int, count: int
+) -> tuple[float, float, float, float]:
+    """``_class_amplitudes`` of ``value`` repeated n times, n2 of them
+    marked. The same sums on the same values: a broadcast of ``value``, and
+    the n2 copies that gathering its marked entries gives."""
+    return _class_amplitudes(np.broadcast_to(value, (n,)), np.full(n2, value), count)
+
+
 def grover_iterate(state: StateVector, count: int) -> StateVector:
     """Apply ``count`` full iterations (oracle, then diffusion) to any state.
 
@@ -229,25 +277,33 @@ def grover_iterate(state: StateVector, count: int) -> StateVector:
     2's wall bounce, diffusion the elastic collision. The rounds run on two
     scalars, and the result is written in one pass over the vector plus a
     gather and a scatter of the marked entries: O(N + n2 + count) in all.
+
+    For a broadcast input (``strides == (0,)``, as every ``init_uniform``
+    start is), the two means and the pair they move to come from a cache
+    keyed on ``(amplitude, N, n2, count)`` that holds the last
+    ``_CLASS_CACHE_SIZE`` shapes. It computes them with the same code on the
+    same values, and the marked entries all get one value, written with no
+    gather, so the output bytes are those of the uncached path.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     amps, idx = state.amplitudes, state._marked_idx
     if count == 0:
         return state._derive(amps.copy())
-    n2 = idx.size
-    n1 = amps.size - n2
-    marked = amps[idx]
-    marked_sum = float(marked.sum())
-    mu = (float(amps.sum()) - marked_sum) / n1
-    mm = marked_sum / n2
-    # float(n1) and float(n2) are exact: no vector has 2**53 entries.
-    a, b = next(islice(_rounds(float(n1), float(n2), mu, mm), count - 1, None))
+    # Each marked amplitude c becomes (c - mm) + b: from a broadcast, one
+    # value for all of them, so nothing is gathered.
+    if amps.strides == (0,):
+        value = float(amps[0])
+        mu, mm, a, b = _uniform_class_amplitudes(value, amps.size, idx.size, count)
+        marked = (value - mm) + b
+    else:
+        marked = amps[idx]
+        mu, mm, a, b = _class_amplitudes(amps, marked, count)
+        marked -= mm
+        marked += b
     # Each unmarked amplitude c becomes a + (-1)**count * (c - mu). The
     # marked entries this pass writes are overwritten below.
     out = np.add(amps, a - mu) if count % 2 == 0 else np.subtract(a + mu, amps)
-    marked -= mm
-    marked += b
     out[idx] = marked
     return state._derive(out)
 

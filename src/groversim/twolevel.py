@@ -90,9 +90,15 @@ def recursion_coefficients(params: SearchParams) -> tuple[float, float, float]:
 
     which is ``step`` term for term, so loops written this way stay
     bit-identical to it.
+
+    ``c_a`` and ``c_b`` divide by N/2 rather than doubling the count first:
+    halving N is exact and the quotient is rounded once, so each equals
+    ``2.0 * count / N`` wherever that is finite, and it stays finite once a
+    count reaches 2**1023, where doubling it overflows.
     """
     n1, n2, n = params.n1, params.n2, params.n_total
-    return (n1 - n2) / n, 2.0 * n1 / n, 2.0 * n2 / n
+    half = 0.5 * n
+    return (n1 - n2) / n, n1 / half, n2 / half
 
 
 def build_matrix(params: SearchParams) -> IterationMatrix:

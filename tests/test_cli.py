@@ -336,6 +336,19 @@ def test_speeds_at_the_edges_of_the_energy_range_give_finite_output(capsys):
             assert "nan" not in out and "inf" not in out, out
 
 
+@pytest.mark.parametrize("v_init", ["1.0", "1.9"])
+@pytest.mark.parametrize("command", ["search", "compare"])
+def test_the_largest_size_gives_finite_output(capsys, command, v_init):
+    # At N = 2**1023, n1 rounds to 2**1023 as a float; the recursion's
+    # coefficient 2*n1/N once overflowed there and every later row read inf.
+    code, out, err = run_cli(
+        capsys, command, "--log2-n", "1023", "--iterations", "3", "--v-init", v_init
+    )
+    assert code == 0, err
+    assert len(out.splitlines()) >= 5
+    assert "nan" not in out and "inf" not in out, out
+
+
 def test_repeated_calls_in_one_process_give_the_same_output(capsys):
     # (argv, exit code); the parser is built once and shared by every call.
     calls = [

@@ -189,6 +189,43 @@ def test_uint64_index_beyond_intp_is_an_index_error():
         StateVector(UNIFORM8, marked)
 
 
+INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@pytest.mark.parametrize(
+    "marked, expected",
+    [(np.array([5, 1, 3, 1], dtype=dtype), [1, 3, 5]) for dtype in INTEGER_DTYPES]
+    + [
+        (np.array([5, 1, 3, 1], dtype=object), [1, 3, 5]),
+        (np.array([9, -2, 1], dtype=np.int8), (IndexError, "out of range [0, 8): [-2, 9]")),
+        (np.array([9, -2, 1], dtype=np.int64), (IndexError, "out of range [0, 8): [-2, 9]")),
+        (
+            np.array([3, 2**63, 1], dtype=np.uint64),
+            (IndexError, f"out of range [0, 8): [{2**63}]"),
+        ),
+        (np.array([1, 2], dtype=np.float16), (TypeError, "cannot be interpreted as an integer")),
+        (np.array([1.0, 2.0]), (TypeError, "cannot be interpreted as an integer")),
+        (np.array([False, True]), (TypeError, "cannot be interpreted as an integer")),
+        (np.array([2.5], dtype=object), (TypeError, "cannot be interpreted as an integer")),
+        (np.array([[1, 2]]), (TypeError, "only integer scalar arrays")),
+    ],
+    ids=[np.dtype(dtype).name for dtype in INTEGER_DTYPES]
+    + ["object", "int8-negative", "int64-negative", "uint64-past-intp", "float16", "float64",
+       "bool", "object-float", "2-d"],
+)
+def test_marked_index_arrays_of_every_dtype(marked, expected):
+    # Integer arrays are cast in one step; every other array is read index
+    # by index, and gets the same verdict either way.
+    given_values = marked.copy()
+    if isinstance(expected, list):
+        assert StateVector(UNIFORM8, marked)._marked_idx.tolist() == expected
+    else:
+        error, message = expected
+        with pytest.raises(error, match=re.escape(message)):
+            StateVector(UNIFORM8, marked)
+    assert np.array_equal(marked, given_values)  # the caller's array is not sorted in place
+
+
 @pytest.mark.parametrize(
     "marked", [[], set(), range(0), np.array([], dtype=np.int64)], ids=["list", "set", "range", "ndarray"]
 )
@@ -388,6 +425,68 @@ def test_iterate_output_bytes_match_the_recorded_digest():
                 for count in (0, 1, 2, opt, 2 * opt + 3):
                     digest.update(grover_iterate(state, count).amplitudes.tobytes())
     assert digest.hexdigest() == "6d0f2137893d7bd2adcab13278be0f228b474a876db442203978ac3b0ea021b5"
+
+
+def _broadcast_start(kind: str, n: int, marked) -> StateVector:
+    value = 1.0 / sqrt(n)
+    if kind == "init_uniform":
+        return init_uniform(SearchParams(n - len(marked), len(marked)), marked)
+    if kind == "as_strided":
+        held = np.array([value])
+        return StateVector(np.lib.stride_tricks.as_strided(held, (n,), (0,)), marked)
+    return StateVector(np.broadcast_to(-value if kind == "negative" else value, (n,)), marked)
+
+
+vector_sizes = st.one_of(
+    st.integers(min_value=1, max_value=16).map(lambda k: 2**k),
+    st.integers(min_value=2, max_value=2**16),
+)
+
+
+@pytest.mark.filterwarnings("ignore::groversim.RegimeWarning")
+@given(
+    vector_sizes.flatmap(lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n // 2))),
+    st.one_of(
+        st.integers(min_value=1, max_value=400),
+        st.sampled_from(["optimal", "over-rotated"]),
+    ),
+    st.sampled_from(["init_uniform", "broadcast", "negative", "as_strided"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example((2**16, 1), "optimal", "init_uniform", 0)
+@example((2**16, 1), 400, "negative", 1)
+@example((3, 1), "over-rotated", "as_strided", 2)
+def test_broadcast_start_iterates_to_the_bytes_of_its_contiguous_copy(shape, count, kind, seed):
+    """A broadcast start takes its class amplitudes from the per-shape
+    cache; the same values held in full take the general path."""
+    n, n2 = shape
+    marked = np.random.default_rng(seed).choice(n, n2, replace=False).tolist()
+    start = _broadcast_start(kind, n, marked)
+    assert start.amplitudes.strides == (0,)
+    optimal = optimal_iterations(start.params)
+    count = {"optimal": max(optimal, 1), "over-rotated": 3 * optimal + 2}.get(count, count)
+    full = StateVector(np.array(start.amplitudes), marked)
+    assert full.amplitudes.flags.c_contiguous
+    for _ in range(2):  # the second call finds the shape cached
+        got = grover_iterate(start, count).amplitudes.tobytes()
+        assert got == grover_iterate(full, count).amplitudes.tobytes()
+
+
+def test_a_second_marked_set_of_one_shape_reuses_the_class_amplitudes():
+    cached = statevector._uniform_class_amplitudes
+    cached.cache_clear()
+    n = 2**14
+    params = SearchParams(n - 2, 2)
+    for marked in ([3, 900], [0, n - 1]):
+        grover_iterate(init_uniform(params, marked), optimal_iterations(params))
+    info = cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # Bounded: more shapes than it holds leave it full, not larger.
+    start = init_uniform(SearchParams(7, 1), [2])
+    for count in range(1, info.maxsize + 10):
+        grover_iterate(start, count)
+    assert cached.cache_info().currsize == info.maxsize
+    cached.cache_clear()
 
 
 @given(

@@ -18,6 +18,7 @@ from groversim import (
     detect_regime,
     matrix_power,
     optimal_iterations,
+    recursion_coefficients,
     rotation_angle,
     spectral_decompose,
     step,
@@ -49,6 +50,33 @@ def test_build_matrix_n8():
 def test_build_matrix_equal_counts_is_quarter_turn(k):
     entries = build_matrix(SearchParams(k, k)).entries
     assert entries.tolist() == [[0.0, -1.0], [1.0, 0.0]]
+
+
+counts_of_every_magnitude = st.integers(min_value=0, max_value=1021).flatmap(
+    lambda e: st.integers(min_value=2**e, max_value=2 ** (e + 1) - 1)
+)
+
+
+@given(counts_of_every_magnitude, counts_of_every_magnitude)
+@example(1, 3 * 2**1021)  # 1/N is subnormal: doubling 1/N would round it twice
+@example(3 * 2**1021, 1)
+def test_recursion_coefficients_keep_the_value_of_doubling_the_count_first(n1, n2):
+    # Every count here is below 2**1023, so doubling it first is finite.
+    n = n1 + n2
+    diag, c_a, c_b = recursion_coefficients(SearchParams(n1, n2))
+    assert (diag, c_a, c_b) == ((n1 - n2) / n, 2.0 * n1 / n, 2.0 * n2 / n)
+
+
+@pytest.mark.parametrize(
+    "n1, n2",
+    [(2**1023 - 1, 1), (1, 2**1023 - 1), (2**1023 - 2**969, 2**969)],
+    ids=["n1-rounds-up", "n2-rounds-up", "both-large"],
+)
+def test_recursion_coefficients_stay_finite_at_two_to_the_1023(n1, n2):
+    # float(2**1023 - 1) is 2**1023: doubling it first overflowed to inf.
+    coefficients = recursion_coefficients(SearchParams(n1, n2))
+    assert all(math.isfinite(c) for c in coefficients)
+    assert coefficients[1] + coefficients[2] == 2.0
 
 
 @given(params_strategy)
