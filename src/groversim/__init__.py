@@ -30,6 +30,7 @@ from .collisions import (
 from .correspondence import (
     DEFAULT_STATEVECTOR_CAP,
     AnalogyReport,
+    TrajectoryRow,
     amplitudes_to_velocities,
     analogy_report,
     velocities_to_amplitudes,
@@ -40,7 +41,6 @@ from .harness import (
     ConfigError,
     ScenarioConfig,
     SweepRow,
-    TrajectoryRow,
     emit_csv,
     run_compare,
     run_search,

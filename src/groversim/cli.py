@@ -70,9 +70,9 @@ def _sample_comments(plan: Plan, draws: int) -> str:
 
     state = grover_iterate(init_uniform(plan.params, range(plan.params.n2)), plan.iterations)
     counts = np.bincount(measure_sample(state, plan.seed, draws), minlength=plan.params.n_total)
-    lines = [f"# sample_draws={draws} seed={plan.seed} iterations={plan.iterations}"]
-    lines.extend(f"# sample index={i} count={counts[i]}" for i in np.flatnonzero(counts).tolist())
-    return "\n".join(lines) + "\n"
+    head = f"# sample_draws={draws} seed={plan.seed} iterations={plan.iterations}"
+    lines = (f"# sample index={i} count={counts[i]}" for i in np.flatnonzero(counts).tolist())
+    return "\n".join([head, *lines, ""])
 
 
 # 8 B a draw (the picks, one machine int each): 128 MiB.

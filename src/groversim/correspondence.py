@@ -6,27 +6,43 @@ full state vector trace the same trajectory, the marked-state probability
 equals ball 2's share of the kinetic energy, and the amplitude mean maps to
 the center-of-mass velocity.
 
-``analogy_report`` checks each identity at every step of one trajectory and
-reports the worst residual. Its input holds the amplitudes and the
-velocities side by side, computed independently by the two recursions; it
-adds the full state vector itself below the cap. ``verify_analogy`` runs the
-two recursions through the reference ``twolevel.step`` and
-``collisions.iterate`` and hands them to it; ``harness.run_compare`` hands it
-the rows of its own single pass instead, so the recursions run once per query.
+``TrajectoryRow`` is the one per-step record that the engines and the check
+share. ``analogy_report`` reads rows in one pass, two at a time, and checks
+each identity at every step, adding the full state vector below the cap.
+``harness.run_compare`` hands it the rows of its own single pass, so the
+recursions run once per query; ``verify_analogy`` builds the same rows from
+the reference steps ``twolevel.step`` and ``collisions.iterate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import pairwise
+from typing import Iterable, Iterator, NamedTuple
 
-from .collisions import from_params, iterate
-from .params import SearchParams
+from .collisions import classify_case, from_params, iterate
+from .params import SearchParams, detect_regime
 from .statevector import _reflect_about_mean, apply_oracle, init_uniform, marked_probability
 from .twolevel import TwoLevelState, step, uniform_state
 
 DEFAULT_STATEVECTOR_CAP = 2**20
+
+
+class TrajectoryRow(NamedTuple):
+    """Joint per-iteration record across the engines: one CSV line, fields in
+    ``harness.TRAJECTORY_HEADER`` order. A NamedTuple, so ``dataclasses``
+    helpers do not apply."""
+
+    n: int
+    a_n: float
+    b_n: float
+    p_marked: float
+    u_n: float
+    v_n: float
+    energy_fraction_ball2: float
+    case_label: str
+    regime: str
 
 
 @dataclass(frozen=True)
@@ -54,6 +70,12 @@ def velocity_scale(params: SearchParams, v_init: float) -> float:
     return v_init * math.sqrt(params.n_total)
 
 
+def _start_energy(params: SearchParams, v_init: float) -> float:
+    """The balls' total kinetic energy at the start, as the collision engine
+    holds it: past N = 2**53, float(n1) + float(n2) can differ from float(N)."""
+    return 0.5 * (float(params.n1) + float(params.n2)) * v_init * v_init
+
+
 def amplitudes_to_velocities(
     state: TwoLevelState, params: SearchParams, v_init: float
 ) -> tuple[float, float]:
@@ -76,22 +98,19 @@ def velocities_to_amplitudes(
 def analogy_report(
     params: SearchParams,
     v_init: float,
-    trajectory: Sequence[tuple[float, float, float, float, float]],
+    rows: Iterable[TrajectoryRow],
     statevector_cap: int = DEFAULT_STATEVECTOR_CAP,
 ) -> AnalogyReport:
-    """Residuals of one side-by-side run over steps = len(trajectory) - 1.
+    """Residuals of one side-by-side run over its steps, one fewer than its rows.
 
-    ``trajectory[n]`` is (a_n, b_n, u_n, v_n, energy_fraction_n) for
-    n = 0..steps: the amplitudes from the two-amplitude recursion, the
-    velocities and ball 2's share of the kinetic energy from the collision
-    iteration, each recursion run on its own. Below the cap the full state
-    vector is iterated here for the same steps and compared with the
-    velocities too; it marks the first n2 indices, and by symmetry the
-    choice does not affect any reported quantity.
+    ``rows`` holds n = 0..steps of one trajectory, in order, and is read
+    once, so a generator will do: the amplitudes and ``p_marked`` from the
+    two-amplitude recursion, the velocities and ball 2's share of the kinetic
+    energy from the collision iteration, each recursion run on its own. Below
+    the cap the full state vector is iterated here for the same steps and
+    compared with the velocities too; it marks the first n2 indices, and by
+    symmetry the choice does not affect any reported quantity.
     """
-    steps = len(trajectory) - 1
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     n_total, n1, n2 = params.n_total, params.n1, params.n2
     scale = velocity_scale(params, v_init)
     use_statevector = n_total <= statevector_cap
@@ -99,10 +118,14 @@ def analogy_report(
         sv = init_uniform(params, range(n2))
         marked_probe, unmarked_probe = 0, n_total - 1
 
+    steps = 0
     vel_res = prob_res = center_res = 0.0
-    for (a, b, u, v, _), (a_next, b_next, u_next, v_next, energy_fraction) in zip(
-        trajectory, trajectory[1:]
-    ):
+    # Every field is unpacked by name: a starred target builds a list per row.
+    for (
+        (_, a, b, _, u, v, _, _, _),
+        (_, a_next, b_next, p_next, u_next, v_next, energy_fraction, _, _),
+    ) in pairwise(rows):
+        steps += 1
         # Oracle / wall-bounce half-step: compare the amplitude mean with the
         # center-of-mass velocity while they are in corresponding phases.
         # Ball 2 has just bounced, so its velocity is -v.
@@ -118,7 +141,7 @@ def analogy_report(
             abs(u_next - scale * a_next),
             abs(v_next - scale * b_next),
         )
-        prob_res = max(prob_res, abs(n2 * b_next * b_next - energy_fraction))
+        prob_res = max(prob_res, abs(p_next - energy_fraction))
         if use_statevector:
             a_sv = float(sv.amplitudes[unmarked_probe])
             b_sv = float(sv.amplitudes[marked_probe])
@@ -128,6 +151,8 @@ def analogy_report(
                 abs(v_next - scale * b_sv),
             )
             prob_res = max(prob_res, abs(marked_probability(sv) - energy_fraction))
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
 
     return AnalogyReport(
         max_velocity_residual=vel_res,
@@ -150,17 +175,24 @@ def verify_analogy(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    total_energy = 0.5 * params.n_total * v_init * v_init  # m_unit = 1
+    return analogy_report(params, v_init, _reference_rows(params, v_init, steps), statevector_cap)
 
+
+def _reference_rows(params: SearchParams, v_init: float, steps: int) -> Iterator[TrajectoryRow]:
+    """Rows n = 0..steps from the reference steps, each recursion on its own;
+    ``collisions.iterate``'s record gives the case label."""
+    n2, regime = params.n2, detect_regime(params).value
+    total_energy = _start_energy(params, v_init)
     two = uniform_state(params)
     system = from_params(params, v_init)
-    trajectory = []
+    case = classify_case(v_init, v_init)
     for n in range(steps + 1):
         if n > 0:
             two = step(two, params)
-            system, _ = iterate(system)
-        ball1, ball2 = system.ball1, system.ball2
-        trajectory.append(
-            (two.a, two.b, ball1.velocity, ball2.velocity, ball2.kinetic_energy / total_energy)
+            system, record = iterate(system)
+            case = record.case_label
+        b, ball2 = two.b, system.ball2
+        yield TrajectoryRow(
+            n, two.a, b, n2 * b * b, system.ball1.velocity, ball2.velocity,
+            ball2.kinetic_energy / total_energy, case.value, regime,
         )
-    return analogy_report(params, v_init, trajectory, statevector_cap)

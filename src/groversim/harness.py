@@ -5,12 +5,14 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .collisions import CollisionCase, _rounds, classify_case, from_params
 from .correspondence import (
     DEFAULT_STATEVECTOR_CAP,
     AnalogyReport,
+    TrajectoryRow,
+    _start_energy,
     analogy_report,
     velocity_scale,
 )
@@ -36,12 +38,17 @@ THETA_ALIASES = {"exact": THETA_EXACT, "paper": THETA_APPROX, "paper-approx": TH
 _CASE_LABELS = {case: case.value for case in CollisionCase}
 # The engines take N through float arithmetic; 2**1023 is the largest that fits.
 MAX_LOG2_N = sys.float_info.max_exp - 1
-# Rows are held whole until written, about 0.9 KB each: 2**20 rows is 0.9 GB.
+# Rows and their CSV text are held until written, about 0.75 KB a row: 0.75 GB.
 _MAX_ROWS = 2**20
 
 
 class ConfigError(ValueError):
     """Invalid scenario configuration (sizing, values, or file syntax)."""
+
+
+def _check_theta_mode(theta_mode: str) -> None:
+    if theta_mode not in (THETA_EXACT, THETA_APPROX):
+        raise ConfigError(f"theta_mode must be 'exact' or 'paper', got {theta_mode!r}")
 
 
 def _check_n_fits_float(params: SearchParams) -> None:
@@ -68,8 +75,7 @@ class ScenarioConfig:
     def validate(self) -> Plan:
         """Check every value and resolve the query once into a ``Plan``, with
         "auto" iterations taken as the optimum."""
-        if self.theta_mode not in (THETA_EXACT, THETA_APPROX):
-            raise ConfigError(f"theta_mode must be 'exact' or 'paper', got {self.theta_mode!r}")
+        _check_theta_mode(self.theta_mode)
         if isinstance(self.iterations, str) and self.iterations != "auto":
             raise ConfigError(f"iterations must be an integer or 'auto', got {self.iterations!r}")
         params = self.resolved_params()
@@ -143,27 +149,12 @@ class Plan:
         # The total kinetic energy, as the collision engine computes it, must
         # be a normal float: an overflow turns the energy fractions into NaN,
         # and below the normal range they lose their precision or divide by 0.
-        energy = 0.5 * self.params.n_total * self.v_init * self.v_init
+        energy = _start_energy(self.params, self.v_init)
         if not sys.float_info.min <= energy <= sys.float_info.max:
             raise ConfigError(
                 f"v_init={self.v_init!r} puts the total kinetic energy 0.5*N*v_init**2 "
                 f"at N={self.params.n_total} outside the normal float range: {energy!r}"
             )
-
-
-class TrajectoryRow(NamedTuple):
-    """Joint per-iteration record across the engines: one CSV line, fields in
-    ``TRAJECTORY_HEADER`` order. A NamedTuple, so ``dataclasses`` helpers do not apply."""
-
-    n: int
-    a_n: float
-    b_n: float
-    p_marked: float
-    u_n: float
-    v_n: float
-    energy_fraction_ball2: float
-    case_label: str
-    regime: str
 
 
 @dataclass(frozen=True)
@@ -203,7 +194,7 @@ def _trajectory(
     two = uniform_state(params)
     system = from_params(params, v_init)
     m1, m2 = system.ball1.mass, system.ball2.mass
-    total_energy = 0.5 * (m1 + m2) * v_init * v_init
+    total_energy = _start_energy(params, v_init)
 
     a, b = two.a, two.b
     u, v = system.ball1.velocity, system.ball2.velocity
@@ -243,6 +234,7 @@ def run_sweep(
     if not 1 <= n2 < 2**n_min_log2:
         raise ConfigError(f"n2 must be in [1, {2**n_min_log2 - 1}], got {n2}")
     theta_mode = config.theta_mode if config is not None else THETA_EXACT
+    _check_theta_mode(theta_mode)
 
     rows = []
     for k in range(n_min_log2, n_max_log2 + 1):
@@ -261,21 +253,20 @@ def run_sweep(
 
 # Floats are written with repr, the shortest representation that round-trips
 # the exact double (at most 17 significant digits), so emitted CSVs are
-# lossless and byte-stable.
+# lossless and byte-stable. Each text is one join over its lines, whose last,
+# "", gives the final newline: adding it after the join would copy the text.
 def format_trajectory_csv(rows: Iterable[TrajectoryRow]) -> str:
-    lines = [TRAJECTORY_HEADER]
-    lines.extend(
+    lines = (
         f"{row.n},{row.a_n!r},{row.b_n!r},{row.p_marked!r},{row.u_n!r},{row.v_n!r},"
         f"{row.energy_fraction_ball2!r},{row.case_label},{row.regime}"
         for row in rows
     )
-    return "\n".join(lines) + "\n"
+    return "\n".join([TRAJECTORY_HEADER, *lines, ""])
 
 
 def format_sweep_csv(rows: Iterable[SweepRow]) -> str:
-    lines = [SWEEP_HEADER]
-    lines.extend(f"{row.n_total},{row.n0},{row.p_at_n0!r},{row.regime}" for row in rows)
-    return "\n".join(lines) + "\n"
+    lines = (f"{row.n_total},{row.n0},{row.p_at_n0!r},{row.regime}" for row in rows)
+    return "\n".join([SWEEP_HEADER, *lines, ""])
 
 
 def format_report_comments(report: AnalogyReport) -> str:
@@ -285,8 +276,9 @@ def format_report_comments(report: AnalogyReport) -> str:
         f"# max_center_velocity_residual={report.max_center_velocity_residual!r}",
         f"# steps_checked={report.steps_checked}",
         f"# statevector_included={'true' if report.statevector_included else 'false'}",
+        "",
     ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
 def emit_csv(rows: Iterable[TrajectoryRow], path) -> None:
@@ -315,13 +307,9 @@ def run_compare(query: ScenarioConfig | Plan) -> tuple[list[TrajectoryRow], Anal
     """
     plan = query if isinstance(query, Plan) else query.validate()
     rows = _trajectory(plan.params, plan.v_init, max(1, plan.iterations), ENGINE_BOTH)
-    report = analogy_report(
-        plan.params,
-        plan.v_init,
-        [(r.a_n, r.b_n, r.u_n, r.v_n, r.energy_fraction_ball2) for r in rows],
-        plan.statevector_cap,
-    )
-    return rows[: plan.iterations + 1], report
+    report = analogy_report(plan.params, plan.v_init, rows, plan.statevector_cap)
+    del rows[plan.iterations + 1 :]  # in place: no second list of the rows
+    return rows, report
 
 
 _INT_KEYS = frozenset({"n1", "n2", "log2_n", "marked_count", "seed", "statevector_cap"})

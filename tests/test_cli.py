@@ -219,6 +219,15 @@ def test_unwritable_output_is_config_error(tmp_path, capsys, make_output):
     assert err.startswith(f"groversim: config error: cannot write output file {output}: ")
 
 
+def test_an_unexpected_error_exits_one(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(groversim.harness, "run_search", broken)
+    code, out, err = run_cli(capsys, "search", "--n1", "3", "--n2", "1")
+    assert (code, out, err) == (1, "", "groversim: error: disk on fire\n")
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["search", "--warp-speed", "9"])
@@ -268,6 +277,7 @@ def test_draws_above_cap_are_refused_before_the_trajectory(capsys, monkeypatch):
             ("compare", "--n1", "3", "--n2", "1", "--iterations", "1048576"),
             "iterations=1048576 would give more than the limit of 1048576 trajectory rows",
         ),
+        (("search", "--n1", "0", "--n2", "1"), "n1 and n2 must each be >= 1"),
     ],
     ids=[
         "energy-overflows",
@@ -278,6 +288,7 @@ def test_draws_above_cap_are_refused_before_the_trajectory(capsys, monkeypatch):
         "too-many-draws",
         "auto-count-past-row-limit",
         "iterations-past-row-limit",
+        "no-unmarked-state",
     ],
 )
 def test_out_of_range_numbers_are_config_errors(capsys, argv, message):

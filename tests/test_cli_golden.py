@@ -30,12 +30,12 @@ GOLDEN = [
     ("compare --log2-n 6 --iterations 40", "d28bd850adf97cd09e2758aeeb72b24a70db791779060ee26cfeeea19ea15936"),
     ("collide --log2-n 20 --marked-count 3 --v-init 2.5", "465eee073e9481bd4dca1c627b6790e84ba21e6760cbce7dd196ca53258cdb41"),
     ("search --log2-n 12 --draws 500 --seed 3", "75a8b7536a7515ce7737cd7d77e88605daa00c5ab8b63d8fb34902f038593508"),
-    # draws * 16 < N and a Grover state of three runs: the run path;
+    # draws * 16 < N and a Grover state of two runs: the run path;
     # recorded from the exact CDF search
     ("search --log2-n 16 --draws 300 --seed 3", "17d1ffd5ba8cebf36bb062305ffc6b098e9940e79531772e5b2579b5f7d930b3"),
     # the guide table, over three chunks of keys, the last one ragged
     ("search --log2-n 12 --draws 40000 --seed 5", "f768a2e9c1b504dbcceb16991c34e54a34a03c0c305a107ee6cc904c84c881e9"),
-    # draws * 256 <= N, but a Grover state of three runs: the run path, not
+    # draws * 256 <= N, but a Grover state of two runs: the run path, not
     # the block sums; recorded from the exact CDF search
     ("search --log2-n 18 --draws 256 --seed 7", "52681288ac1f78cd4806b014c49542db055ecc395255b8f7c493e546ce764c99"),
 ]

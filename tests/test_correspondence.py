@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groversim import (
+    ScenarioConfig,
     SearchParams,
     TwoLevelState,
     amplitudes_to_velocities,
+    analogy_report,
+    run_search,
     step,
     uniform_state,
     velocities_to_amplitudes,
@@ -96,6 +99,23 @@ def test_verify_analogy_skips_statevector_above_cap():
 def test_verify_analogy_rejects_zero_steps():
     with pytest.raises(ValueError):
         verify_analogy(SearchParams(3, 1), steps=0)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_analogy_report_needs_two_rows(count):
+    rows = run_search(ScenarioConfig(n1=15, n2=1, iterations=0))[:count]
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        analogy_report(SearchParams(15, 1), 1.0, rows)
+
+
+@pytest.mark.parametrize("cap", [2, 2**20])
+def test_analogy_report_reads_rows_in_one_pass(cap):
+    params = SearchParams(1021, 3)
+    rows = run_search(ScenarioConfig(n1=1021, n2=3, v_init=1.7))
+    report = analogy_report(params, 1.7, (row for row in rows), cap)
+    assert report == analogy_report(params, 1.7, rows, cap)
+    assert report == verify_analogy(params, 1.7, len(rows) - 1, cap)
+    assert report.steps_checked == len(rows) - 1
 
 
 def test_verify_analogy_scales_with_v_init():

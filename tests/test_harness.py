@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -106,6 +107,8 @@ def test_validate_rejects_bad_values():
         ScenarioConfig(n1=3, n2=1, iterations=-2).validate()
     with pytest.raises(ConfigError):
         ScenarioConfig(n1=3, n2=1, theta_mode="guess").validate()
+    with pytest.raises(ConfigError, match="marked_count=2 contradicts n2=1"):
+        ScenarioConfig(n1=7, n2=1, marked_count=2).validate()
     with pytest.raises(ConfigError, match="unknown key 'format'"):
         coerce_config_values({"format": "csv"}, source="test")
 
@@ -189,6 +192,9 @@ def test_load_scenario_rejects_bad_lines(tmp_path):
         load_scenario(tmp_path / "missing.cfg")
     path.write_bytes(b"\xff\xfe n1=3\n")
     with pytest.raises(ConfigError, match="cannot read scenario file"):
+        load_scenario(path)
+    path.write_text("theta_mode=guess\n")
+    with pytest.raises(ConfigError, match="bad value for 'theta_mode'"):
         load_scenario(path)
 
 
@@ -335,6 +341,8 @@ def test_equal_masses_warn_through_run_search():
         ScenarioConfig(n1=768, n2=256, iterations=0),
         ScenarioConfig(n1=600, n2=424, iterations=5, theta_mode="paper"),
         ScenarioConfig(n1=7, n2=7, iterations=12, v_init=2.25),
+        # float(n1) + float(n2) is not float(N): both must take the same start energy
+        ScenarioConfig(n1=2**60 + 384, n2=200, iterations=5, v_init=1.3),
     ],
     ids=lambda c: f"{c.n1}-{c.n2}",
 )
@@ -421,6 +429,26 @@ def test_run_compare_runs_each_recursion_once(monkeypatch):
     assert not report.statevector_included
 
 
+def traced_call(fn, *args):
+    """fn(*args), with the bytes it still holds and its peak, both above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - start, peak - start
+
+
+def test_run_compare_peaks_at_the_rows_it_returns():
+    # Above the state-vector cap, so the report holds no vector: beside the
+    # rows the call holds only the report's few floats, and no copy of them.
+    (rows, _), held, peak = traced_call(run_compare, ScenarioConfig(log2_n=40, iterations=20000))
+    assert len(rows) == 20001
+    assert peak <= 1.02 * held + 64 * 1024, (peak, held)
+
+
 def test_run_compare_reports_residuals():
     rows, report = run_compare(ScenarioConfig(n1=15, n2=1))
     assert len(rows) == 4
@@ -454,6 +482,17 @@ def test_sweep_validates_range():
         run_sweep(5, 3, 1, ScenarioConfig())
     with pytest.raises(ConfigError):
         run_sweep(2, 4, 4, ScenarioConfig())
+    with pytest.raises(ConfigError, match="n_min_log2 must be >= 1, got 0"):
+        run_sweep(0, 3, 1)
+
+
+def test_sweep_checks_the_theta_mode_as_validate_does():
+    config = ScenarioConfig(theta_mode="guess")
+    with pytest.raises(ConfigError) as from_validate:
+        replace(config, log2_n=3).validate()
+    with pytest.raises(ConfigError) as from_sweep:
+        run_sweep(2, 3, 1, config)
+    assert str(from_sweep.value) == str(from_validate.value)
 
 
 # --- CSV -------------------------------------------------------------------------
@@ -466,6 +505,14 @@ def test_trajectory_csv_header_and_shape():
     assert len(lines) == 3
     assert text.endswith("\n")
     assert "1.0" in lines[2]  # p_marked rendered losslessly
+
+
+def test_trajectory_csv_peaks_at_its_lines_and_one_text():
+    rows = run_search(ScenarioConfig(log2_n=40, iterations=20000), engine=ENGINE_BOTH)
+    text, _, peak = traced_call(format_trajectory_csv, rows)
+    lines = text.split("\n")  # the lines the call joins, with "" for the final newline
+    line_bytes = sys.getsizeof(lines) + sum(sys.getsizeof(line) for line in lines)
+    assert peak <= line_bytes + sys.getsizeof(text) + 64 * 1024, (peak, line_bytes)
 
 
 def test_empty_rows_gives_header_only():
