@@ -58,11 +58,12 @@ def _config_from_args(args: argparse.Namespace, refused: tuple[str, ...] = ()) -
     return harness.build_config(file_values, harness.coerce_config_values(flags, "flags"))
 
 
-def _write(text: str, output: str | None) -> None:
+def _write(output: str | None, *texts: str) -> None:
+    """Write ``texts`` one after the other to stdout or to the file ``output``."""
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
-        harness.emit_text(text, output)
+        harness.emit_text(output, *texts)
 
 
 def _sample_comments(plan: Plan, draws: int) -> str:
@@ -91,24 +92,23 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
     rows = harness.run_search(plan, engine=harness.ENGINE_ANALYTIC)
     text = harness.format_trajectory_csv(rows)
-    if args.draws:
-        text += _sample_comments(plan, args.draws)
-    _write(text, plan.output)
+    comments = _sample_comments(plan, args.draws) if args.draws else ""
+    _write(plan.output, text, comments)
     return 0
 
 
 def _cmd_collide(args: argparse.Namespace) -> int:
     plan = _config_from_args(args).validate()
     rows = harness.run_search(plan, engine=harness.ENGINE_COLLISION)
-    _write(harness.format_trajectory_csv(rows), plan.output)
+    _write(plan.output, harness.format_trajectory_csv(rows))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     plan = _config_from_args(args).validate()
     rows, report = harness.run_compare(plan)
-    text = harness.format_trajectory_csv(rows) + harness.format_report_comments(report)
-    _write(text, plan.output)
+    text = harness.format_trajectory_csv(rows)
+    _write(plan.output, text, harness.format_report_comments(report))
     return 0
 
 
@@ -119,20 +119,13 @@ _NOT_FOR_SWEEP = ("n1", "log2_n", "iterations", "v_init", "seed", "statevector_c
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _config_from_args(args, refused=_NOT_FOR_SWEEP)
     # Checked here, not only in run_sweep, so the messages name the flags.
-    if not 1 <= args.log2_min <= args.log2_max:
-        raise ConfigError(
-            f"--log2-min must be in [1, --log2-max {args.log2_max}], got {args.log2_min}"
-        )
-    if args.log2_max > harness.MAX_LOG2_N:
-        raise ConfigError(
-            f"--log2-max must be <= {harness.MAX_LOG2_N} (the float range), got {args.log2_max}"
-        )
+    harness._check_log2_range(args.log2_min, args.log2_max, "--log2-min", "--log2-max")
     sizes = {config.n2, config.marked_count} - {None}
     if len(sizes) > 1:
         raise ConfigError(f"marked_count={config.marked_count} contradicts n2={config.n2}")
     n2 = sizes.pop() if sizes else 1
-    rows = harness.run_sweep(args.log2_min, args.log2_max, n2, config)
-    _write(harness.format_sweep_csv(rows), config.output)
+    rows = harness.run_sweep(args.log2_min, args.log2_max, n2, config.theta_mode)
+    _write(config.output, harness.format_sweep_csv(rows))
     return 0
 
 

@@ -24,8 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
 
-# Regime and detect_regime live in params; this module re-exports them.
-from .params import Regime, SearchParams, detect_regime  # noqa: F401
+from .params import SearchParams
 from .twolevel import THETA_EXACT, rotation_angle
 
 

@@ -30,9 +30,9 @@ DEFAULT_STATEVECTOR_CAP = 2**20
 
 
 class TrajectoryRow(NamedTuple):
-    """Joint per-iteration record across the engines: one CSV line, fields in
-    ``harness.TRAJECTORY_HEADER`` order. A NamedTuple, so ``dataclasses``
-    helpers do not apply."""
+    """Joint per-iteration record across the engines: one CSV line. The fields
+    are the one home of the CSV column order; ``harness.TRAJECTORY_HEADER``
+    joins their names. A NamedTuple, so ``dataclasses`` helpers do not apply."""
 
     n: int
     a_n: float

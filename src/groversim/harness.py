@@ -26,7 +26,7 @@ from .twolevel import (
     uniform_state,
 )
 
-TRAJECTORY_HEADER = "n,a_n,b_n,p_marked,u_n,v_n,energy_fraction_ball2,case_label,regime"
+TRAJECTORY_HEADER = ",".join(TrajectoryRow._fields)
 SWEEP_HEADER = "N,n0,p_at_n0,regime"
 
 ENGINE_ANALYTIC = "analytic"
@@ -49,6 +49,15 @@ class ConfigError(ValueError):
 def _check_theta_mode(theta_mode: str) -> None:
     if theta_mode not in (THETA_EXACT, THETA_APPROX):
         raise ConfigError(f"theta_mode must be 'exact' or 'paper', got {theta_mode!r}")
+
+
+def _check_log2_range(log2_min: int, log2_max: int, min_name: str, max_name: str) -> None:
+    """Check a sweep's range of log2(N). Each message names a bound as the
+    caller's own input does: a flag for the CLI, an argument for ``run_sweep``."""
+    if not 1 <= log2_min <= log2_max:
+        raise ConfigError(f"{min_name} must be in [1, {max_name} {log2_max}], got {log2_min}")
+    if log2_max > MAX_LOG2_N:
+        raise ConfigError(f"{max_name} must be <= {MAX_LOG2_N} (the float range), got {log2_max}")
 
 
 def _check_n_fits_float(params: SearchParams) -> None:
@@ -219,25 +228,16 @@ def _trajectory(
 
 
 def run_sweep(
-    n_min_log2: int,
-    n_max_log2: int,
-    n2: int,
-    config: ScenarioConfig | None = None,
+    log2_min: int, log2_max: int, n2: int, theta_mode: str = THETA_EXACT
 ) -> list[SweepRow]:
-    """One row per N = 2**k, k in [n_min_log2, n_max_log2], in order of N."""
-    if n_min_log2 > n_max_log2:
-        raise ConfigError(f"log2 range is empty: [{n_min_log2}, {n_max_log2}]")
-    if n_min_log2 < 1:
-        raise ConfigError(f"n_min_log2 must be >= 1, got {n_min_log2}")
-    if n_max_log2 > MAX_LOG2_N:
-        raise ConfigError(f"n_max_log2 must be <= {MAX_LOG2_N} (the float range), got {n_max_log2}")
-    if not 1 <= n2 < 2**n_min_log2:
-        raise ConfigError(f"n2 must be in [1, {2**n_min_log2 - 1}], got {n2}")
-    theta_mode = config.theta_mode if config is not None else THETA_EXACT
+    """One row per N = 2**k, k in [log2_min, log2_max], in order of N."""
+    _check_log2_range(log2_min, log2_max, "log2_min", "log2_max")
+    if not 1 <= n2 < 2**log2_min:
+        raise ConfigError(f"n2 must be in [1, {2**log2_min - 1}], got {n2}")
     _check_theta_mode(theta_mode)
 
     rows = []
-    for k in range(n_min_log2, n_max_log2 + 1):
+    for k in range(log2_min, log2_max + 1):
         params = SearchParams(2**k - n2, n2)
         n0 = _optimal_count(params, theta_mode)
         rows.append(
@@ -283,12 +283,14 @@ def format_report_comments(report: AnalogyReport) -> str:
 
 def emit_csv(rows: Iterable[TrajectoryRow], path) -> None:
     """Write trajectory rows as CSV (header always present, final newline)."""
-    emit_text(format_trajectory_csv(rows), path)
+    emit_text(path, format_trajectory_csv(rows))
 
 
-def emit_text(text: str, path) -> None:
+def emit_text(path, *texts: str) -> None:
+    """Write ``texts`` one after the other to the file at ``path``."""
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            out.writelines(texts)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from None
 

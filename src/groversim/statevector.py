@@ -76,7 +76,6 @@ _BLOCK_RATIO = 256
 _MAX_RUNS = 1024
 # The ``array`` typecode of one np.intp, so numpy reads such an array in place.
 _INTP = np.dtype(np.intp).char
-_INTP_SIZE = np.dtype(np.intp).itemsize
 # Shapes (amplitude, N, n2, count) whose class amplitudes grover_iterate
 # keeps for a broadcast start: four floats each.
 _CLASS_CACHE_SIZE = 256
@@ -110,24 +109,12 @@ def _marked_indices(marked, n_total: int) -> np.ndarray:
     one index unmarked."""
     if not isinstance(marked, Collection):
         marked = list(marked)  # read a second time if an index overflows intp
-    if (
-        isinstance(marked, np.ndarray)
-        and marked.ndim == 1
-        and marked.dtype.kind in "iu"
-        and marked.dtype.itemsize <= _INTP_SIZE
-    ):
-        # One cast: exact, but for unsigned indices as wide as intp, whose
-        # values past intp's maximum wrap below zero, where the range check
-        # finds them.
-        idx = marked.astype(np.intp)
-    else:
-        try:
-            # An array of C integers refuses what operator.index refuses, such
-            # as floats and strings, at a fraction of the cost of calling it on
-            # each.
-            idx = np.frombuffer(array(_INTP, marked), dtype=np.intp)
-        except OverflowError:  # beyond intp, so out of range too
-            idx = None
+    try:
+        # An array of C integers refuses what operator.index refuses, such as
+        # floats and strings, at a fraction of the cost of calling it on each.
+        idx = np.frombuffer(array(_INTP, marked), dtype=np.intp)
+    except OverflowError:  # beyond intp, so out of range too
+        idx = None
     if idx is not None:
         idx.sort()
         distinct = idx[1:] != idx[:-1]

@@ -49,3 +49,17 @@ def test_stdout_matches_the_recorded_digest(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Queries whose CSV is followed by a "#" tail, written as a second text.
+WITH_TAIL = ["compare --log2-n 8", "search --log2-n 12 --draws 500 --seed 3"]
+
+
+@pytest.mark.parametrize("argv", WITH_TAIL)
+def test_output_file_matches_the_recorded_digest(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.csv"
+    code = main([*argv.split(), "--output", str(out_path)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    digest = dict(GOLDEN)[argv]
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest

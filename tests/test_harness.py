@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from groversim import (
     CollisionCase,
@@ -94,7 +95,7 @@ def test_sizes_past_the_float_range_are_rejected():
         with pytest.raises(ConfigError):
             config.resolved_params()
     assert run_sweep(1021, 1023, 1)[-1].n_total == 2**1023
-    with pytest.raises(ConfigError, match="n_max_log2"):
+    with pytest.raises(ConfigError, match="log2_max must be <= 1023"):
         run_sweep(1, 1024, 1)
 
 
@@ -327,6 +328,42 @@ def test_run_search_matches_the_per_step_reference(config, engine):
     assert run_search(config, engine=engine) == reference_rows(config, engine)
 
 
+@st.composite
+def scaled_searches(draw):
+    """A search of N <= 2**40 and the power of two 2**j to scale its speed by."""
+    n_total = draw(st.integers(2, 2**40))
+    n2 = draw(st.integers(1, n_total - 1))
+    config = ScenarioConfig(
+        n1=n_total - n2,
+        n2=n2,
+        iterations=draw(st.integers(0, 60)),
+        v_init=draw(st.floats(1e-3, 1e3)),
+    )
+    return config, draw(st.integers(-20, 20))
+
+
+def float_bits(row):
+    return tuple(x.hex() if isinstance(x, float) else x for x in row)
+
+
+@pytest.mark.filterwarnings("ignore::groversim.ProtocolWarning")
+@given(scaled_searches())
+def test_scaling_the_speed_by_a_power_of_two_is_exact(search):
+    # Every velocity is linear in v_init and every other column a ratio of
+    # two of them, so a factor 2**j, which rounds nothing while no value
+    # overflows or goes subnormal, scales u_n and v_n exactly and leaves
+    # the rest bit-identical.
+    config, j = search
+    scaled = replace(config, v_init=math.ldexp(config.v_init, j))
+    for engine in (ENGINE_ANALYTIC, ENGINE_COLLISION, ENGINE_BOTH):
+        expected = [
+            row._replace(u_n=math.ldexp(row.u_n, j), v_n=math.ldexp(row.v_n, j))
+            for row in run_search(config, engine=engine)
+        ]
+        got = run_search(scaled, engine=engine)
+        assert list(map(float_bits, got)) == list(map(float_bits, expected))
+
+
 def test_equal_masses_warn_through_run_search():
     with pytest.warns(ProtocolWarning):
         run_search(ScenarioConfig(n1=5, n2=5, iterations=8), engine=ENGINE_COLLISION)
@@ -460,29 +497,29 @@ def test_run_compare_reports_residuals():
 # --- sweeps ----------------------------------------------------------------------
 
 def test_sweep_rows_hit_the_success_floor():
-    rows = run_sweep(2, 10, 1, ScenarioConfig())
+    rows = run_sweep(2, 10, 1)
     assert [row.n_total for row in rows] == [2**k for k in range(2, 11)]
     for row in rows:
         assert row.p_at_n0 >= 1.0 - 1.0 / row.n_total
 
 
 def test_sweep_first_row_n4():
-    row = run_sweep(2, 2, 1, ScenarioConfig())[0]
+    row = run_sweep(2, 2, 1)[0]
     assert (row.n_total, row.n0, row.p_at_n0, row.regime) == (4, 1, 1.0, "boundary")
 
 
 def test_sweep_flags_invalid_sizes():
-    rows = run_sweep(2, 3, 2, ScenarioConfig())
+    rows = run_sweep(2, 3, 2)
     assert rows[0].regime == "invalid"     # N=4, n2=2
     assert rows[1].regime == "boundary"    # N=8, n2=2
 
 
 def test_sweep_validates_range():
     with pytest.raises(ConfigError):
-        run_sweep(5, 3, 1, ScenarioConfig())
+        run_sweep(5, 3, 1)
     with pytest.raises(ConfigError):
-        run_sweep(2, 4, 4, ScenarioConfig())
-    with pytest.raises(ConfigError, match="n_min_log2 must be >= 1, got 0"):
+        run_sweep(2, 4, 4)
+    with pytest.raises(ConfigError, match=re.escape("log2_min must be in [1, log2_max 3], got 0")):
         run_sweep(0, 3, 1)
 
 
@@ -491,7 +528,7 @@ def test_sweep_checks_the_theta_mode_as_validate_does():
     with pytest.raises(ConfigError) as from_validate:
         replace(config, log2_n=3).validate()
     with pytest.raises(ConfigError) as from_sweep:
-        run_sweep(2, 3, 1, config)
+        run_sweep(2, 3, 1, config.theta_mode)
     assert str(from_sweep.value) == str(from_validate.value)
 
 
@@ -543,7 +580,7 @@ def test_emit_csv_writes_file(tmp_path):
 
 
 def test_sweep_csv_header():
-    text = format_sweep_csv(run_sweep(2, 4, 1, ScenarioConfig()))
+    text = format_sweep_csv(run_sweep(2, 4, 1))
     assert text.splitlines()[0] == SWEEP_HEADER
 
 

@@ -214,8 +214,7 @@ INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np
        "bool", "object-float", "2-d"],
 )
 def test_marked_index_arrays_of_every_dtype(marked, expected):
-    # Integer arrays are cast in one step; every other array is read index
-    # by index, and gets the same verdict either way.
+    # Every array is read index by index into C integers, as a list is.
     given_values = marked.copy()
     if isinstance(expected, list):
         assert StateVector(UNIFORM8, marked)._marked_idx.tolist() == expected
