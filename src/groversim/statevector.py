@@ -19,17 +19,20 @@ move depend on the amplitude, N, n2 and ``count`` alone, not on which
 states are marked. So they are kept in a ``functools.lru_cache`` keyed on
 those four and bounded to ``_CLASS_CACHE_SIZE`` shapes of four floats each:
 a search of a shape already run skips the N-long sum, the rounds and the
-gather, and makes the one pass that writes its result.
+gather, and writes its result as the unmarked value filled in N times and
+the marked value scattered over the marked indices. That result is
+read-only and carries its two values, the velocities of the two balls.
 
 ``measure_sample`` is seeded inverse-CDF sampling. It draws its keys in
 fixed chunks and writes each chunk's picks straight into its result, an
 ``array.array`` of C ``intp`` integers, so it holds no second array as long
 as the draws and builds no Python int per draw.
-With fewer than N/16 draws, a vector of few runs of equal amplitude, as
-every state ``grover_iterate`` builds from ``init_uniform`` is (two values,
-at most 2*n2 + 1 runs), is sampled run by run from the run sums alone; any
-other vector from block sums of the squares (at most N/256 draws) or from
-the exact CDF. The a-priori error bound of recursive summation (Higham
+With fewer than N/16 draws, a state that carries its two values is sampled
+run by run: its runs of equal amplitude (at most 2*n2 + 1) come from the
+segments of consecutive marked indices, with no pass over the vector, and
+the run sums replace the N-long running sum. Any other vector is sampled
+from block sums of the squares (at most N/256 draws) or from the exact CDF.
+The a-priori error bound of recursive summation (Higham
 2002, section 4.2) proves the picks of those sums equal to the exact ones,
 and a key it cannot prove is searched in the exact CDF. With at least N/16
 draws a guide table (Chen & Asau 1974; Devroye 1986, section III.2) of
@@ -42,9 +45,11 @@ one value v, a broadcast, has its norm checked as the one product N*v*v; any
 other vector by a blocked sum of squares. NaN amplitudes fail the check, and
 a marked index that is not an integer is refused. Operations never mutate
 their input, so states can be shared freely across threads; the kernels
-return fresh, writeable vectors. The uniform start of ``init_uniform`` is a
-read-only broadcast of its one amplitude at every N, held once, so a search
-from it holds one N-vector, its result.
+return fresh vectors, writeable but for ``grover_iterate``'s result from a
+broadcast, whose two values would no longer summarise it after a write.
+The uniform start of ``init_uniform`` is a read-only broadcast of its one
+amplitude at every N, held once, so a search from it holds one N-vector,
+its result.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import functools
 import math
 import operator
 from array import array
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterable
 from itertools import islice
 
 import numpy as np
@@ -145,9 +150,15 @@ class StateVector:
     The marked set is held once, as the sorted read-only ``np.intp`` array
     ``_marked_idx`` that the kernels index with. ``marked`` builds a new
     ``frozenset`` from it on each read.
+
+    ``_class_values`` is None, or ``(amplitudes, unmarked, marked)`` for a
+    read-only vector that holds ``marked`` at the marked indices and
+    ``unmarked`` everywhere else, as ``grover_iterate`` writes it from a
+    broadcast. The sampler trusts it only while ``amplitudes`` is still
+    that array and still read-only.
     """
 
-    __slots__ = ("amplitudes", "_marked_idx")
+    __slots__ = ("amplitudes", "_marked_idx", "_class_values")
 
     def __init__(self, amplitudes, marked) -> None:
         amps = np.asarray(amplitudes, dtype=np.float64)
@@ -163,11 +174,15 @@ class StateVector:
             raise ValueError(f"amplitudes are not normalised: sum of squares = {norm!r}")
         self.amplitudes = amps
         self._marked_idx = idx
+        self._class_values = None
 
-    def _derive(self, amplitudes: np.ndarray) -> StateVector:
+    def _derive(
+        self, amplitudes: np.ndarray, class_values: tuple[np.ndarray, float, float] | None = None
+    ) -> StateVector:
         """A state on this state's marked set, built without the checks."""
         state = object.__new__(StateVector)
         state.amplitudes, state._marked_idx = amplitudes, self._marked_idx
+        state._class_values = class_values
         return state
 
     @property
@@ -198,7 +213,11 @@ def init_uniform(params: SearchParams, marked) -> StateVector:
     ``[0, n_total)``.
     """
     n = params.n_total
-    state = StateVector(np.broadcast_to(np.float64(1.0 / math.sqrt(n)), (n,)), marked)
+    # One element seen N times through a zero stride: the array np.broadcast_to
+    # builds, at a fraction of its cost.
+    amps = np.ndarray((n,), np.float64, np.array([1.0 / math.sqrt(n)]), 0, (0,))
+    amps.flags.writeable = False
+    state = StateVector(amps, marked)
     n2 = state._marked_idx.size
     if n2 != params.n2:
         raise ValueError(f"marked set has {n2} indices, expected n2={params.n2}")
@@ -269,27 +288,33 @@ def grover_iterate(state: StateVector, count: int) -> StateVector:
     start is), the two means and the pair they move to come from a cache
     keyed on ``(amplitude, N, n2, count)`` that holds the last
     ``_CLASS_CACHE_SIZE`` shapes. It computes them with the same code on the
-    same values, and the marked entries all get one value, written with no
-    gather, so the output bytes are those of the uncached path.
+    same values. Every unmarked entry then gets one value and every marked
+    entry another, each computed once as a float, so the output bytes are
+    those of the uncached path. That output is read-only, and the state
+    carries its two values for ``measure_sample``.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     amps, idx = state.amplitudes, state._marked_idx
     if count == 0:
         return state._derive(amps.copy())
-    # Each marked amplitude c becomes (c - mm) + b: from a broadcast, one
-    # value for all of them, so nothing is gathered.
+    # Each unmarked amplitude c becomes a + (-1)**count * (c - mu), and each
+    # marked one (c - mm) + b.
     if amps.strides == (0,):
         value = float(amps[0])
         mu, mm, a, b = _uniform_class_amplitudes(value, amps.size, idx.size, count)
+        # The floats numpy's add or subtract gives at every entry.
+        unmarked = value + (a - mu) if count % 2 == 0 else (a + mu) - value
         marked = (value - mm) + b
-    else:
-        marked = amps[idx]
-        mu, mm, a, b = _class_amplitudes(amps, marked, count)
-        marked -= mm
-        marked += b
-    # Each unmarked amplitude c becomes a + (-1)**count * (c - mu). The
-    # marked entries this pass writes are overwritten below.
+        out = np.full(amps.size, unmarked)
+        out[idx] = marked
+        out.flags.writeable = False
+        return state._derive(out, (out, unmarked, marked))
+    marked = amps[idx]
+    mu, mm, a, b = _class_amplitudes(amps, marked, count)
+    marked -= mm
+    marked += b
+    # The marked entries this pass writes are overwritten below.
     out = np.add(amps, a - mu) if count % 2 == 0 else np.subtract(a + mu, amps)
     out[idx] = marked
     return state._derive(out)
@@ -387,7 +412,7 @@ def _proven_search(
         picks, sum_before, sum_at = candidates(target)
         proven = sum_before < target * below - alpha
         proven &= sum_at > target * above + alpha
-        if not proven.all():
+        if np.count_nonzero(proven) < proven.size:  # faster than not proven.all()
             unproven = np.flatnonzero(~proven)
             if cdf is None:
                 cdf = _cdf(amplitudes)
@@ -441,74 +466,112 @@ def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], 
     return _proven_search(amplitudes, prefix[-1], rounds, candidates)
 
 
-def _run_search(amplitudes: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
-    """``_proven_search`` from the runs of equal amplitude, or None when
-    there are more than ``_MAX_RUNS`` runs.
+def _run_search(
+    amplitudes: np.ndarray,
+    starts: Iterable[int],
+    lengths: Iterable[int],
+    squares: Iterable[float],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``_proven_search`` from the runs of equal amplitude of ``amplitudes``:
+    run i covers ``lengths[i]`` indices from ``starts[i]``, each with the
+    rounded square ``squares[i]``, and the runs cover the vector in order.
 
-    Of the R runs, one of length L and rounded square q adds q to the
-    running sum L times. Runs with q == 0.0 are dropped: adding 0.0 is
-    exact, so their CDF values repeat the one before and are never picked.
-    Each other run is summed as L*q, the sums are run up into ``prefix``,
-    and ``before``, the sum ahead of each run, is ``prefix`` shifted by one
-    place, never a difference. For each key the run holding ``target`` is
-    found in ``prefix``; the candidate offset is
-    ``r = floor(min(target - before, L*q) / q)``, at most L - 1 (the cap
-    keeps the quotient near L when q is subnormal), and the candidate's
-    sums are ``before + r*q`` and that plus q. K counts N each for c_i and
-    T, R + 4 for a candidate's sum (the square, L*q, the run-up over at
-    most R runs, r*q and two additions), R + 2 for ``total``, a few for the
-    product, the quotient and the band, and spare: K = 2N + 2R + 16.
+    Of the R runs, one of length L and square q adds q to the running sum L
+    times. Runs with q == 0.0 are dropped: adding 0.0 is exact, so their
+    CDF values repeat the one before and are never picked. Each other run
+    is summed as L*q, and the sums are run up left to right into
+    ``prefix``, with ``before``, the sum ahead of each run, the running
+    total before the run's own sum is added, never a difference. For each
+    key the run holding ``target`` is found in ``prefix``; the candidate
+    offset is ``r = floor(min(target - before, L*q) / q)``, at most L - 1
+    (the cap keeps the quotient near L when q is subnormal), and the
+    candidate's sums are ``before + r*q`` and that plus q. K counts N each
+    for c_i and T, R + 4 for a candidate's sum (the square, L*q, the run-up
+    over at most R runs, r*q and two additions), R + 2 for ``total``, a few
+    for the product, the quotient and the band, and spare: K = 2N + 2R + 16.
     """
     n = amplitudes.size
-    # Most vectors with many runs show them early: refuse those before the
-    # full pass, and count before finding the edges, which is slow per edge.
-    head = amplitudes[: 4 * _MAX_RUNS]
-    if np.count_nonzero(head[1:] != head[:-1]) >= _MAX_RUNS:
-        return None
-    changed = amplitudes[1:] != amplitudes[:-1]
-    if np.count_nonzero(changed) >= _MAX_RUNS:
-        return None
-    bounds = np.concatenate(([0], np.flatnonzero(changed) + 1, [n]))
-    starts, lengths = bounds[:-1], bounds[1:] - bounds[:-1]
-    squares = np.square(amplitudes.take(starts))
-    if not squares.all():
-        nonzero = np.flatnonzero(squares)
-        starts, lengths, squares = starts[nonzero], lengths[nonzero], squares[nonzero]
-    sums = lengths * squares
-    prefix = np.cumsum(sums)
-    before = np.concatenate(([0.0], prefix[:-1]))
-    last = lengths - 1.0
+    # One row per run: before, q, L*q, L - 1 and the run's first index.
+    rows, prefix, total = [], [], 0.0
+    for start, length, q in zip(starts, lengths, squares):
+        if q:
+            run_sum = length * q
+            rows.append((total, q, run_sum, length - 1, start))
+            total += run_sum
+            prefix.append(total)
+    # A target of exactly ``total`` (key * total may round up to it) finds
+    # no run; this row gives it a candidate whose sum ahead, ``total``, is
+    # never below the band, so the key goes to the exact CDF.
+    rows.append((total, 1.0, 0.0, 0, n - 1))
+    table = np.array(rows)
+    prefix = np.array(prefix)
 
     def candidates(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        run = np.searchsorted(prefix, target, side="right")
-        np.minimum(run, prefix.size - 1, out=run)
-        lo = before.take(run)
-        q = squares.take(run)
-        # target >= lo, since the run was found as the first prefix above it.
-        r = np.minimum(target - lo, sums.take(run))
+        run = prefix.searchsorted(target, side="right")
+        before, q, run_sum, last, start = table.take(run, axis=0).T
+        # target >= before, since the run was found as the first prefix above it.
+        r = np.minimum(target - before, run_sum)
         r /= q
+        np.minimum(r, last, out=r)
         np.floor(r, out=r)
-        np.minimum(r, last.take(run), out=r)
-        picks = starts.take(run) + r.astype(np.intp)
+        picks = (start + r).astype(np.intp)
         r *= q
-        lo += r
-        return picks, lo, lo + q
+        before += r
+        return picks, before, before + q
 
-    return _proven_search(amplitudes, prefix[-1], 2 * n + 2 * prefix.size + 16, candidates)
+    return _proven_search(amplitudes, total, 2 * n + 2 * prefix.size + 16, candidates)
 
 
-def _draw_indices(amplitudes: np.ndarray, seed: int, out: array) -> None:
+def _class_runs(state: StateVector) -> tuple[tuple, tuple, tuple] | None:
+    """The runs of equal amplitude of a state that carries its two class
+    values, as ``_run_search`` takes them: ``(starts, lengths, squares)``.
+
+    They come from the segments of consecutive marked indices, each one a
+    run of the marked value with a run of the unmarked value between any
+    two of them, so no amplitude is read. None for a state that carries no
+    values, whose vector was replaced or made writeable, or with more than
+    ``_MAX_RUNS`` runs.
+    """
+    record = state._class_values
+    amps = state.amplitudes
+    if record is None or record[0] is not amps or amps.flags.writeable:
+        return None
+    _, unmarked, marked = record
+    idx, n = state._marked_idx, amps.size
+    # The position in idx of the last index of each segment but the last.
+    cuts = (idx[1:] != idx[:-1] + 1).nonzero()[0].tolist()
+    first, last = idx.item(0), idx.item(-1)
+    if 2 * len(cuts) + 3 - (first == 0) - (last == n - 1) > _MAX_RUNS:
+        return None
+    q_unmarked, q_marked = unmarked * unmarked, marked * marked
+    runs = []
+    end = 0  # one past the last index the runs so far cover
+    firsts = [first, *(idx.item(i + 1) for i in cuts)]
+    lasts = [*(idx.item(i) for i in cuts), last]
+    for lo, hi in zip(firsts, lasts):
+        if lo > end:
+            runs.append((end, lo - end, q_unmarked))
+        runs.append((lo, hi + 1 - lo, q_marked))
+        end = hi + 1
+    if end < n:
+        runs.append((end, n - end, q_unmarked))
+    return tuple(zip(*runs))
+
+
+def _draw_indices(state: StateVector, seed: int, out: array) -> None:
     """Write the picks of ``measure_sample`` into ``out``, one chunk of keys
     at a time; every array it builds is freed when it returns."""
+    amplitudes = state.amplitudes
     n = amplitudes.size
     draws = len(out)
     if draws * _TABLE_RATIO >= n:
         search = _guide_table_search(_cdf(amplitudes))
-    elif (search := _run_search(amplitudes)) is None:
-        if draws * _BLOCK_RATIO <= n:
-            search = _block_search(amplitudes, draws)
-        else:
-            search = functools.partial(np.searchsorted, _cdf(amplitudes), side="right")
+    elif (runs := _class_runs(state)) is not None:
+        search = _run_search(amplitudes, *runs)
+    elif draws * _BLOCK_RATIO <= n:
+        search = _block_search(amplitudes, draws)
+    else:
+        search = functools.partial(np.searchsorted, _cdf(amplitudes), side="right")
     rng = np.random.default_rng(seed)
     picks = np.frombuffer(out, dtype=np.intp)  # a view: released on return
     for start in range(0, draws, _KEY_CHUNK):
@@ -528,9 +591,11 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> array:
     straight into the result, so no other array as long as the draws exists.
     Each chunk is looked up by one of four means:
 
-    - fewer than N/16 draws from a vector of at most ``_MAX_RUNS`` runs of
-      equal amplitude, as every Grover state from the uniform start is:
-      the run sums, with no N-long running sum (``_run_search``).
+    - fewer than N/16 draws from a state that ``grover_iterate`` wrote from
+      a broadcast, as every Grover state from the uniform start is, with at
+      most ``_MAX_RUNS`` runs: the run sums, found from the marked indices
+      and the state's two values, with no pass over the vector
+      (``_run_search``).
     - any other vector with at most N/256 draws: block sums of the squares,
       with the running sum rebuilt only in the blocks the keys hit
       (``_block_search``).
@@ -550,5 +615,5 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> array:
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     out = array(_INTP, [0]) * draws
-    _draw_indices(state.amplitudes, seed, out)
+    _draw_indices(state, seed, out)
     return out

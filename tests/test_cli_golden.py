@@ -38,6 +38,13 @@ GOLDEN = [
     # draws * 256 <= N, but a Grover state of two runs: the run path, not
     # the block sums; recorded from the exact CDF search
     ("search --log2-n 18 --draws 256 --seed 7", "52681288ac1f78cd4806b014c49542db055ecc395255b8f7c493e546ce764c99"),
+    # n2 = N/4 and one iteration: the unmarked amplitude is exactly 0.0, so
+    # its run is dropped and every draw is marked
+    ("search --log2-n 16 --marked-count 16384 --iterations 1 --draws 256 --seed 3", "afff0315a3e146cd6aeba81d4275152a59b9a8f59e36e98c7238091c7f685e09"),
+    # the largest vector the run path samples, with three marked states
+    ("search --log2-n 20 --marked-count 3 --draws 256 --seed 5", "5621ed4dcae139f8c2a5f7fd1f18ee42f5d07da74b7ae12468ccbec128d5ca23"),
+    # the size most benchmark operations search
+    ("search --log2-n 14 --draws 256 --seed 3", "01bf05e8af7b33a8da6ee7db7339b9988648ac6d36860cdad4b6e051b2a85f31"),
 ]
 
 

@@ -585,7 +585,7 @@ CHUNK = statevector._KEY_CHUNK
 # Block sums over an N that is no multiple of the block width (32 here).
 @example(state_seed=9, n=5000, kind="random", sample_seed=10, draws=3)
 @example(state_seed=9, n=5000, kind="with-zeros", sample_seed=10, draws=3)
-# A few runs of equal amplitude: the run path.
+# A few runs of equal amplitude, built by a caller: the block sums.
 @example(state_seed=9, n=5000, kind="point-mass", sample_seed=10, draws=3)
 @example(state_seed=9, n=5000, kind="zero-runs", sample_seed=10, draws=3)
 # One chunk less one, exactly one chunk, and several with a ragged last chunk.
@@ -596,8 +596,8 @@ def test_measure_sample_matches_searching_each_draw_on_its_own(
     state_seed, n, kind, sample_seed, draws
 ):
     """The picks, in draw order, are those of searching every uniform key of
-    the seeded stream on its own, on the guide-table, plain, block-sum and
-    run paths, with exactly-zero amplitudes (tied CDF values), long zero runs
+    the seeded stream on its own, on the guide-table, plain and block-sum
+    paths, with exactly-zero amplitudes (tied CDF values), long zero runs
     that put many CDF values in one bucket, and point masses."""
     rng = np.random.default_rng(state_seed)
     if kind == "point-mass":
@@ -634,6 +634,15 @@ def test_measure_sample_at_two_to_the_twenty_matches_the_plain_reference():
     keys = np.random.default_rng(5).random(4000)
     expected = np.searchsorted(cdf / cdf[-1], keys, side="right").tolist()
     assert measure_sample(state, 5, 4000).tolist() == expected
+
+
+def scanned_runs(amps):
+    """The runs of equal amplitude as ``(starts, lengths, squares)``, found by
+    comparing neighbours: the reference for the runs ``measure_sample``
+    finds from the marked indices."""
+    bounds = np.r_[0, np.flatnonzero(amps[1:] != amps[:-1]) + 1, amps.size]
+    starts = bounds[:-1]
+    return starts.tolist(), np.diff(bounds).tolist(), np.square(amps[starts]).tolist()
 
 
 def _adversarial_states(n):
@@ -701,7 +710,8 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
         amps /= sqrt(fsum((amps * amps).tolist()))
     cdf = np.cumsum(amps * amps)
     cdf /= cdf[-1]
-    starts = np.r_[0, np.flatnonzero(amps[1:] != amps[:-1]) + 1]  # where each run begins
+    runs = scanned_runs(amps)
+    starts = np.array(runs[0])  # where each run begins
     assert starts.size <= statevector._MAX_RUNS
     # The last index ahead of each run, its first, its second, and the tail.
     at = np.r_[starts - 1, starts, starts + 1, n // 2, n - 3 : n - 1]
@@ -716,8 +726,7 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
 
     builds, exact_cdf = [], statevector._cdf
     monkeypatch.setattr(statevector, "_cdf", lambda a: builds.append(1) or exact_cdf(a))
-    search = statevector._run_search(amps)
-    assert search is not None
+    search = statevector._run_search(amps, *runs)
     # All the keys in one call, proven and unproven ones mixed.
     assert search(keys).tolist() == reference(keys)
     assert len(builds) == 1
@@ -725,7 +734,7 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
     fell_back = []
     for key in keys:
         builds.clear()
-        assert statevector._run_search(amps)(np.array([key])).tolist() == reference([key])
+        assert statevector._run_search(amps, *runs)(np.array([key])).tolist() == reference([key])
         fell_back.append(bool(builds))
     at_edges, in_gaps = np.split(np.array(fell_back), [edges.size])
     assert at_edges.all()
@@ -745,10 +754,10 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
 @example(log2_n=16, n2=511, seed=4, counting="over-rotated", count=0)
 @example(log2_n=2, n2=3, seed=5, counting="any", count=7)
 def test_run_search_matches_the_exact_search_on_grover_states(log2_n, n2, seed, counting, count):
-    """Any Grover state from the uniform start has at most 2*n2 + 1 runs,
-    so it takes the run path; its picks are those of a per-key search of
-    the exact CDF, for counts from none through the optimum to over-rotated
-    ones. Four entries with three of them marked, and keys at the CDF values
+    """Any Grover state from the uniform start has at most 2*n2 + 1 runs;
+    from the runs its neighbours show, the run search gives the picks of a
+    per-key search of the exact CDF, for counts from none through the
+    optimum to over-rotated ones. Four entries with three of them marked, and keys at the CDF values
     next to the marked entries, are among the cases."""
     n = 2**log2_n
     n2 = min(n2, n - 1)
@@ -765,8 +774,7 @@ def test_run_search_matches_the_exact_search_on_grover_states(log2_n, n2, seed, 
     near = np.r_[start._marked_idx - 1, start._marked_idx].clip(0, n - 1)
     keys = np.r_[rng.random(200), cdf[near], np.nextafter(cdf[near], 0.0)]
     keys = keys[keys < 1.0]
-    search = statevector._run_search(amps)
-    assert search is not None
+    search = statevector._run_search(amps, *scanned_runs(amps))
     expected = [int(np.searchsorted(cdf, key, side="right")) for key in keys]
     assert search(keys).tolist() == expected
     draws = max(1, n // 17)
@@ -776,14 +784,127 @@ def test_run_search_matches_the_exact_search_on_grover_states(log2_n, n2, seed, 
 
 @pytest.mark.parametrize("log2_n", [13, 14, 18])
 @pytest.mark.parametrize("head", ["random", "constant"])
-def test_random_amplitudes_do_not_take_the_run_path(log2_n, head):
-    # Random amplitudes have a run per entry; with a constant head of 4096
-    # entries the refusal comes from the count over the whole vector.
+def test_random_amplitudes_do_not_take_the_run_path(monkeypatch, log2_n, head):
+    # Only a state that grover_iterate wrote from a broadcast carries its
+    # runs; any vector built by a caller, even one that opens with a long
+    # constant head, is sampled without them.
     n = 2**log2_n
     amps = np.random.default_rng(log2_n).standard_normal(n)
     if head == "constant":
         amps[:4096] = amps[0]
-    assert statevector._run_search(amps) is None
+    state = StateVector(amps / sqrt(fsum((amps * amps).tolist())), [3])
+    assert statevector._class_runs(state) is None
+    monkeypatch.setattr(statevector, "_run_search", None)  # a call would raise
+    assert len(measure_sample(state, 1, 4)) == 4
+
+
+def _marked_layout(rng, n, n2, layout):
+    """About n2 distinct indices in [0, n), laid out as ``layout`` says."""
+    if layout == "prefix":  # as the CLI marks them
+        return list(range(n2))
+    if layout == "ends":  # 0 and N - 1 among them
+        return [0, n - 1, *rng.choice(np.arange(1, n - 1), max(n2 - 2, 0), replace=False)]
+    if layout == "adjacent":  # mostly consecutive, in a few segments
+        gaps = rng.choice([1, 1, 1, 2, 7], size=n2)
+        return np.unique((rng.integers(n) + np.cumsum(gaps)) % n)[: n - 1].tolist()
+    return rng.choice(n, n2, replace=False).tolist()
+
+
+@pytest.mark.filterwarnings("ignore::groversim.RegimeWarning")
+@given(
+    st.integers(min_value=5, max_value=16),
+    st.integers(min_value=1, max_value=300),
+    st.sampled_from(["random", "adjacent", "ends", "prefix"]),
+    st.sampled_from(["none", "optimal", "over-rotated", "any"]),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+# n2 = N/4 and one iteration: every unmarked amplitude is exactly 0.0.
+@example(log2_n=10, n2=256, layout="prefix", counting="any", count=1, seed=1)
+@example(log2_n=8, n2=64, layout="adjacent", counting="any", count=1, seed=2)
+# n2 = 3N/4 and one iteration: every marked amplitude is exactly 0.0.
+@example(log2_n=8, n2=192, layout="random", counting="any", count=1, seed=3)
+@example(log2_n=5, n2=24, layout="ends", counting="any", count=1, seed=4)
+@example(log2_n=16, n2=3, layout="ends", counting="optimal", count=1, seed=5)
+def test_runs_from_the_marked_indices_match_the_exact_search(
+    log2_n, n2, layout, counting, count, seed
+):
+    """A state that grover_iterate wrote from the uniform start is sampled
+    from runs found in its marked indices alone: those its neighbours show,
+    and picks equal to a per-key search of the exact CDF, for keys at and
+    beside the CDF values at every run edge, and through measure_sample.
+    With no iteration there is no such state, and the other paths sample."""
+    n = 2**log2_n
+    rng = np.random.default_rng(seed)
+    marked = _marked_layout(rng, n, min(n2, n - 1), layout)
+    params = SearchParams(n - len(marked), len(marked))
+    optimum = optimal_iterations(params)
+    count = {"none": 0, "optimal": optimum, "over-rotated": 2 * optimum + 1 + count % 7}.get(
+        counting, count
+    )
+    state = grover_iterate(init_uniform(params, marked), count)
+    amps = state.amplitudes
+    cdf = np.cumsum(amps * amps)
+    cdf /= cdf[-1]
+    runs = statevector._class_runs(state)
+    if count == 0:
+        assert runs is None
+    else:
+        _, unmarked, marked_value = state._class_values
+        if unmarked != marked_value:  # equal values would be one run to the scan
+            assert [list(column) for column in runs] == list(scanned_runs(amps))
+        edges = np.array(runs[0])
+        near = np.r_[edges - 1, edges, n - 1].clip(0, n - 1)
+        keys = np.r_[rng.random(100), cdf[near], np.nextafter(cdf[near], 0.0)]
+        keys = keys[keys < 1.0]
+        expected = [int(np.searchsorted(cdf, key, side="right")) for key in keys]
+        assert statevector._run_search(amps, *runs)(keys).tolist() == expected
+    draws = max(1, n // 17)
+    expected = np.searchsorted(cdf, np.random.default_rng(seed).random(draws), side="right")
+    assert measure_sample(state, seed, draws).tolist() == expected.tolist()
+
+
+def test_a_grover_state_from_a_broadcast_is_read_only():
+    state = grover_iterate(init_uniform(SearchParams(60, 4), [0, 1, 2, 63]), 2)
+    with pytest.raises(ValueError):
+        state.amplitudes[5] = 0.0
+    with pytest.raises(ValueError):
+        state.amplitudes += 1.0
+
+
+@pytest.mark.parametrize("marked", [[7], [0, 1, 2, 3], [5, 6, 900, 4095]])
+def test_a_copy_of_a_grover_state_samples_the_same_picks_from_its_amplitudes(
+    monkeypatch, marked
+):
+    n = 2**12
+    state = grover_iterate(init_uniform(SearchParams(n - len(marked), len(marked)), marked), 5)
+    copy = StateVector(np.array(state.amplitudes), marked)
+    assert statevector._class_runs(state) is not None
+    assert statevector._class_runs(copy) is None
+    for draws in (3, 100):  # the block sums, then a search of each key in the CDF
+        picks = measure_sample(state, 17, draws)
+        monkeypatch.setattr(statevector, "_run_search", None)  # a call would raise
+        assert measure_sample(copy, 17, draws) == picks
+        monkeypatch.undo()
+
+
+def test_a_state_whose_amplitudes_are_replaced_drops_its_runs():
+    n = 2**12
+    state = grover_iterate(init_uniform(SearchParams(n - 1, 1), [100]), 3)
+    assert statevector._class_runs(state) is not None
+    # Other values, also read-only: the two values no longer describe them.
+    amps = np.full(n, 1 / sqrt(n))
+    amps.flags.writeable = False
+    state.amplitudes = amps
+    assert statevector._class_runs(state) is None
+    cdf = np.cumsum(amps * amps)
+    cdf /= cdf[-1]
+    keys = np.random.default_rng(8).random(50)
+    assert measure_sample(state, 8, 50).tolist() == np.searchsorted(cdf, keys, side="right").tolist()
+    # The same array, made writeable again, is not trusted either.
+    state = grover_iterate(init_uniform(SearchParams(n - 1, 1), [100]), 3)
+    state.amplitudes.flags.writeable = True
+    assert statevector._class_runs(state) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 255, 256, 257, 1000])
@@ -832,7 +953,7 @@ def test_measure_sample_returns_machine_ints_filled_in_place(monkeypatch, kind, 
         state = StateVector(amps / sqrt(fsum((amps * amps).tolist())), [3])
     taken = []
     for name, builder in [
-        ("runs", "_run_search"),
+        ("runs", "_class_runs"),
         ("block-sums", "_block_search"),
         ("guide-table", "_guide_table_search"),
     ]:
@@ -874,7 +995,7 @@ def test_uniform_start_gives_the_results_of_the_materialized_start(log2_n, share
     for kernel in kernels:
         assert kernel(start).amplitudes.tobytes() == kernel(reference).amplitudes.tobytes()
     assert marked_probability(start) == marked_probability(reference)
-    # From 2^12 up: one run sampled run by run, and the guide table.
+    # From 2^12 up: the block sums, a search of each key, and the guide table.
     for draws in (max(n // ratio, 1) for ratio in (512, 64, 8)):
         assert measure_sample(start, 11, draws) == measure_sample(reference, 11, draws)
 
@@ -906,20 +1027,21 @@ def test_uniform_start_is_read_only(log2_n):
 
 @pytest.mark.parametrize("log2_n", [4, 16])
 @pytest.mark.parametrize(
-    "kernel",
+    "kernel, writeable",
     [
-        lambda state: grover_iterate(state, 0),
-        lambda state: grover_iterate(state, 3),
-        apply_oracle,
-        apply_diffusion,
+        (lambda state: grover_iterate(state, 0), True),
+        # From a broadcast the result carries its two values: read-only.
+        (lambda state: grover_iterate(state, 3), False),
+        (apply_oracle, True),
+        (apply_diffusion, True),
     ],
     ids=["iterate-0", "iterate-3", "oracle", "diffusion"],
 )
-def test_kernels_return_fresh_writeable_vectors(log2_n, kernel):
+def test_kernels_return_fresh_writeable_vectors(log2_n, kernel, writeable):
     n = 2**log2_n
     start = init_uniform(SearchParams(n - 2, 2), [1, n - 1])
     out = kernel(start).amplitudes
-    assert out.flags.owndata and out.flags.c_contiguous and out.flags.writeable
+    assert out.flags.owndata and out.flags.c_contiguous and out.flags.writeable == writeable
     assert not np.shares_memory(out, start.amplitudes)
 
 
