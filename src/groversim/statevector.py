@@ -16,12 +16,15 @@ rounds of ``collisions._rounds``: the oracle is ball 2's wall bounce and
 diffusion the elastic collision. From a broadcast start, one amplitude
 repeated N times as ``init_uniform`` builds it, those means and where they
 move depend on the amplitude, N, n2 and ``count`` alone, not on which
-states are marked. So they are kept in a ``functools.lru_cache`` keyed on
-those four and bounded to ``_CLASS_CACHE_SIZE`` shapes of four floats each:
-a search of a shape already run skips the N-long sum, the rounds and the
-gather, and writes its result as the unmarked value filled in N times and
-the marked value scattered over the marked indices. That result is
-read-only and carries its two values, the velocities of the two balls.
+states are marked. So the two values of the result, the velocities of the
+two balls, and its marked probability are kept in a ``functools.lru_cache``
+keyed on that shape and bounded to ``_CLASS_CACHE_SIZE`` shapes of three
+floats each: a search of a shape already run skips the N-long sum, the
+rounds and the gather, and writes its result as the unmarked value filled
+in N times and the marked value scattered over the marked indices. That
+result is read-only and carries its shape, and so does the uniform start,
+whose one value is both; ``marked_probability`` reads such a state's
+probability from the cache.
 
 ``measure_sample`` is seeded inverse-CDF sampling. It draws its keys in
 fixed chunks and writes each chunk's picks straight into its result, an
@@ -34,7 +37,11 @@ the run sums replace the N-long running sum. Any other vector is sampled
 from block sums of the squares (at most N/256 draws) or from the exact CDF.
 The a-priori error bound of recursive summation (Higham
 2002, section 4.2) proves the picks of those sums equal to the exact ones,
-and a key it cannot prove is searched in the exact CDF. With at least N/16
+and a key it cannot prove is searched in the exact CDF. On the run path
+the bound is also evaluated once per run of one index, such as an isolated
+marked state: the keys it proves form one interval, and one
+``searchsorted`` over those intervals settles most keys of a Grover state
+near its optimal count. With at least N/16
 draws a guide table (Chen & Asau 1974; Devroye 1986, section III.2) of
 about 2N bucket bounds finds each pick, with neither a sort nor a binary
 search over the whole CDF.
@@ -58,7 +65,7 @@ import functools
 import math
 import operator
 from array import array
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Collection, Sequence
 from itertools import islice
 
 import numpy as np
@@ -76,13 +83,17 @@ _TABLE_RATIO = 16
 # Block sums replace the sequential running sum once draws * _BLOCK_RATIO <= N.
 _BLOCK_RATIO = 256
 # The run path takes vectors of at most this many runs of equal amplitude.
-# For 256 draws it beat the block sums and the plain CDF at 1024 runs from
-# N = 2^14 to 2^18, and lost to them at 2^18 from about 1500 runs on.
-_MAX_RUNS = 1024
+# With 256 draws from Grover states of 2*n2 + 1 runs, at the optimal count
+# and after one iteration, it beat the block sums and the plain CDF up to
+# about 65 runs at N = 2^14, 150 at 2^16, 500 at 2^18 and 900 at 2^20. At
+# 1025 runs it lost at every N: 1.3-2.2 ms against 0.11-1.2 ms. At 129 runs
+# it took 0.16-0.20 ms against 0.11 ms at 2^14 and 0.2 against 0.7-1.3 ms
+# from 2^18 up.
+_MAX_RUNS = 128
 # The ``array`` typecode of one np.intp, so numpy reads such an array in place.
 _INTP = np.dtype(np.intp).char
-# Shapes (amplitude, N, n2, count) whose class amplitudes grover_iterate
-# keeps for a broadcast start: four floats each.
+# Shapes (amplitude, N, n2, count) whose two class values and marked
+# probability grover_iterate keeps for a broadcast start: three floats each.
 _CLASS_CACHE_SIZE = 256
 
 
@@ -151,11 +162,14 @@ class StateVector:
     ``_marked_idx`` that the kernels index with. ``marked`` builds a new
     ``frozenset`` from it on each read.
 
-    ``_class_values`` is None, or ``(amplitudes, unmarked, marked)`` for a
-    read-only vector that holds ``marked`` at the marked indices and
-    ``unmarked`` everywhere else, as ``grover_iterate`` writes it from a
-    broadcast. The sampler trusts it only while ``amplitudes`` is still
-    that array and still read-only.
+    ``_class_values`` is None, or ``(amplitudes, shape)`` for a read-only
+    vector that ``count`` iterations wrote from ``value`` repeated N times,
+    with ``shape = (value, N, n2, count)``: ``init_uniform``'s start
+    (count 0) and ``grover_iterate``'s result from a broadcast. It holds one
+    value at the marked indices and another everywhere else, and
+    ``_uniform_class_amplitudes(*shape)`` gives the two and the marked
+    probability. The sampler and ``marked_probability`` trust it only while
+    ``amplitudes`` is still that array and still read-only.
     """
 
     __slots__ = ("amplitudes", "_marked_idx", "_class_values")
@@ -177,7 +191,7 @@ class StateVector:
         self._class_values = None
 
     def _derive(
-        self, amplitudes: np.ndarray, class_values: tuple[np.ndarray, float, float] | None = None
+        self, amplitudes: np.ndarray, class_values: tuple[np.ndarray, tuple] | None = None
     ) -> StateVector:
         """A state on this state's marked set, built without the checks."""
         state = object.__new__(StateVector)
@@ -202,25 +216,41 @@ class StateVector:
         return f"StateVector(n={self.n_total}, marked={self._marked_idx.tolist()})"
 
 
+def _class_shape(state: StateVector) -> tuple | None:
+    """The ``shape`` of a state's class values, or None when it carries none
+    or its vector was replaced or made writeable since."""
+    record, amps = state._class_values, state.amplitudes
+    if record is None or record[0] is not amps or amps.flags.writeable:
+        return None
+    return record[1]
+
+
+def _broadcast(value: float, n: int) -> np.ndarray:
+    """``value`` seen n times through a zero stride, read-only and held once:
+    the array np.broadcast_to builds, at a fraction of its cost."""
+    amps = np.ndarray((n,), np.float64, np.array([value]), 0, (0,))
+    amps.flags.writeable = False
+    return amps
+
+
 def init_uniform(params: SearchParams, marked) -> StateVector:
     """Equal superposition of all basis states: every amplitude is 1/sqrt(N).
 
     The amplitudes are a read-only broadcast of the one value, held once,
     so a search from this state holds one N-vector, its result. The
-    constructor checks them like any caller's.
+    constructor checks them like any caller's. The state carries that value
+    as both its class values, so ``measure_sample`` samples it run by run.
 
     ``marked`` must contain exactly ``params.n2`` distinct indices in
     ``[0, n_total)``.
     """
     n = params.n_total
-    # One element seen N times through a zero stride: the array np.broadcast_to
-    # builds, at a fraction of its cost.
-    amps = np.ndarray((n,), np.float64, np.array([1.0 / math.sqrt(n)]), 0, (0,))
-    amps.flags.writeable = False
-    state = StateVector(amps, marked)
+    value = 1.0 / math.sqrt(n)
+    state = StateVector(_broadcast(value, n), marked)
     n2 = state._marked_idx.size
     if n2 != params.n2:
         raise ValueError(f"marked set has {n2} indices, expected n2={params.n2}")
+    state._class_values = (state.amplitudes, (value, n, n2, 0))
     return state
 
 
@@ -265,11 +295,25 @@ def _class_amplitudes(
 @functools.lru_cache(maxsize=_CLASS_CACHE_SIZE)
 def _uniform_class_amplitudes(
     value: float, n: int, n2: int, count: int
-) -> tuple[float, float, float, float]:
-    """``_class_amplitudes`` of ``value`` repeated n times, n2 of them
-    marked. The same sums on the same values: a broadcast of ``value``, and
-    the n2 copies that gathering its marked entries gives."""
-    return _class_amplitudes(np.broadcast_to(value, (n,)), np.full(n2, value), count)
+) -> tuple[float, float, float]:
+    """The unmarked and marked values that ``count`` >= 0 iterations give
+    ``value`` repeated n times, n2 of them marked, and the marked
+    probability of that state.
+
+    ``_class_amplitudes`` runs the same sums on the same values as the
+    uncached path of ``grover_iterate``: a broadcast of ``value``, and the
+    n2 copies that gathering its marked entries gives. Each class value is
+    the float numpy's add or subtract gives at every entry of that path,
+    and the probability is ``marked_probability``'s sum over the gather of
+    the result, n2 copies of the marked value: all three bit for bit.
+    """
+    if count == 0:
+        unmarked = marked = value
+    else:
+        mu, mm, a, b = _class_amplitudes(np.broadcast_to(value, (n,)), np.full(n2, value), count)
+        unmarked = value + (a - mu) if count % 2 == 0 else (a + mu) - value
+        marked = (value - mm) + b
+    return unmarked, marked, _sum_of_squares(np.full(n2, marked))
 
 
 def grover_iterate(state: StateVector, count: int) -> StateVector:
@@ -285,31 +329,32 @@ def grover_iterate(state: StateVector, count: int) -> StateVector:
     gather and a scatter of the marked entries: O(N + n2 + count) in all.
 
     For a broadcast input (``strides == (0,)``, as every ``init_uniform``
-    start is), the two means and the pair they move to come from a cache
-    keyed on ``(amplitude, N, n2, count)`` that holds the last
-    ``_CLASS_CACHE_SIZE`` shapes. It computes them with the same code on the
-    same values. Every unmarked entry then gets one value and every marked
-    entry another, each computed once as a float, so the output bytes are
-    those of the uncached path. That output is read-only, and the state
-    carries its two values for ``measure_sample``.
+    start is), the unmarked and marked values of the result come from a
+    cache keyed on its shape ``(amplitude, N, n2, count)`` that holds the
+    last ``_CLASS_CACHE_SIZE`` shapes. It computes them with the same code
+    on the same values, so the output bytes are those of the uncached path:
+    every unmarked entry gets one value and every marked entry the other.
+    That output is read-only, a fresh broadcast of the input's value when
+    ``count`` is 0, and the state carries its shape for ``measure_sample``
+    and ``marked_probability``.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     amps, idx = state.amplitudes, state._marked_idx
+    if amps.strides == (0,):
+        shape = (float(amps[0]), amps.size, idx.size, count)
+        if count == 0:
+            out = _broadcast(shape[0], amps.size)
+        else:
+            unmarked, marked, _ = _uniform_class_amplitudes(*shape)
+            out = np.full(amps.size, unmarked)
+            out[idx] = marked
+            out.flags.writeable = False
+        return state._derive(out, (out, shape))
     if count == 0:
         return state._derive(amps.copy())
     # Each unmarked amplitude c becomes a + (-1)**count * (c - mu), and each
     # marked one (c - mm) + b.
-    if amps.strides == (0,):
-        value = float(amps[0])
-        mu, mm, a, b = _uniform_class_amplitudes(value, amps.size, idx.size, count)
-        # The floats numpy's add or subtract gives at every entry.
-        unmarked = value + (a - mu) if count % 2 == 0 else (a + mu) - value
-        marked = (value - mm) + b
-        out = np.full(amps.size, unmarked)
-        out[idx] = marked
-        out.flags.writeable = False
-        return state._derive(out, (out, unmarked, marked))
     marked = amps[idx]
     mu, mm, a, b = _class_amplitudes(amps, marked, count)
     marked -= mm
@@ -321,7 +366,14 @@ def grover_iterate(state: StateVector, count: int) -> StateVector:
 
 
 def marked_probability(state: StateVector) -> float:
-    """Probability that a measurement lands in the marked set."""
+    """Probability that a measurement lands in the marked set.
+
+    The sum of the squares of the marked amplitudes. A state that carries
+    its class values reads it from the per-shape cache, which summed the
+    same n2 copies of the marked value, so no amplitude is gathered.
+    """
+    if (shape := _class_shape(state)) is not None:
+        return _uniform_class_amplitudes(*shape)[2]
     return _sum_of_squares(state.amplitudes[state._marked_idx])
 
 
@@ -372,6 +424,13 @@ def _cdf(amplitudes: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _band(n: int, rounds: int) -> tuple[float, float, float]:
+    """``(1 - delta, 1 + delta, alpha)`` of ``_proven_search`` for an
+    N-vector and K = ``rounds``."""
+    delta = 2 * rounds * 2.0**-53
+    return 1.0 - delta, 1.0 + delta, (4 * n + 32) * 2.0**-1074
+
+
 def _proven_search(
     amplitudes: np.ndarray,
     total: float,
@@ -401,9 +460,7 @@ def _proven_search(
     A key that is not proven is searched in the exact CDF, built on first
     need and kept for the later chunks.
     """
-    delta = 2 * rounds * 2.0**-53
-    below, above = 1.0 - delta, 1.0 + delta
-    alpha = (4 * amplitudes.size + 32) * 2.0**-1074
+    below, above, alpha = _band(amplitudes.size, rounds)
     cdf = None
 
     def search(keys: np.ndarray) -> np.ndarray:
@@ -466,45 +523,23 @@ def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], 
     return _proven_search(amplitudes, prefix[-1], rounds, candidates)
 
 
-def _run_search(
-    amplitudes: np.ndarray,
-    starts: Iterable[int],
-    lengths: Iterable[int],
-    squares: Iterable[float],
+def _run_table_search(
+    amplitudes: np.ndarray, rows: list[tuple], rounds: int
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """``_proven_search`` from the runs of equal amplitude of ``amplitudes``:
-    run i covers ``lengths[i]`` indices from ``starts[i]``, each with the
-    rounded square ``squares[i]``, and the runs cover the vector in order.
+    """``_proven_search`` from the rows of the runs of equal amplitude that
+    ``_run_search`` builds, one per run of nonzero square q and length L:
+    ``(before, q, L*q, L - 1, first index)``, then a closing row.
 
-    Of the R runs, one of length L and square q adds q to the running sum L
-    times. Runs with q == 0.0 are dropped: adding 0.0 is exact, so their
-    CDF values repeat the one before and are never picked. Each other run
-    is summed as L*q, and the sums are run up left to right into
-    ``prefix``, with ``before``, the sum ahead of each run, the running
-    total before the run's own sum is added, never a difference. For each
-    key the run holding ``target`` is found in ``prefix``; the candidate
-    offset is ``r = floor(min(target - before, L*q) / q)``, at most L - 1
-    (the cap keeps the quotient near L when q is subnormal), and the
-    candidate's sums are ``before + r*q`` and that plus q. K counts N each
-    for c_i and T, R + 4 for a candidate's sum (the square, L*q, the run-up
-    over at most R runs, r*q and two additions), R + 2 for ``total``, a few
-    for the product, the quotient and the band, and spare: K = 2N + 2R + 16.
+    ``before`` of each row is the running total ahead of its run, so
+    ``before`` of the next row is the sum up to the run's end: those sums
+    make ``prefix``. For each key the run holding ``target`` is found in
+    ``prefix``; the candidate offset is ``r = floor(min(target - before,
+    L*q) / q)``, at most L - 1 (the cap keeps the quotient near L when q is
+    subnormal), and the candidate's sums are ``before + r*q`` and that plus
+    q. K = ``rounds``.
     """
-    n = amplitudes.size
-    # One row per run: before, q, L*q, L - 1 and the run's first index.
-    rows, prefix, total = [], [], 0.0
-    for start, length, q in zip(starts, lengths, squares):
-        if q:
-            run_sum = length * q
-            rows.append((total, q, run_sum, length - 1, start))
-            total += run_sum
-            prefix.append(total)
-    # A target of exactly ``total`` (key * total may round up to it) finds
-    # no run; this row gives it a candidate whose sum ahead, ``total``, is
-    # never below the band, so the key goes to the exact CDF.
-    rows.append((total, 1.0, 0.0, 0, n - 1))
     table = np.array(rows)
-    prefix = np.array(prefix)
+    prefix = np.ascontiguousarray(table[1:, 0])
 
     def candidates(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         run = prefix.searchsorted(target, side="right")
@@ -519,10 +554,107 @@ def _run_search(
         before += r
         return picks, before, before + q
 
-    return _proven_search(amplitudes, total, 2 * n + 2 * prefix.size + 16, candidates)
+    return _proven_search(amplitudes, rows[-1][0], rounds, candidates)
 
 
-def _class_runs(state: StateVector) -> tuple[tuple, tuple, tuple] | None:
+def _run_search(
+    amplitudes: np.ndarray,
+    starts: Sequence[int],
+    lengths: Sequence[int],
+    squares: Sequence[float],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``np.searchsorted(_cdf(amplitudes), keys, side="right")`` for keys in
+    [0, 1), from the runs of equal amplitude of ``amplitudes``: run i covers
+    ``lengths[i]`` indices from ``starts[i]``, each with the rounded square
+    ``squares[i]``, and the runs cover the vector in order.
+
+    Of the R runs, one of length L and square q adds q to the running sum L
+    times. Runs with q == 0.0 are dropped: adding 0.0 is exact, so their
+    CDF values repeat the one before and are never picked. Each other run
+    is summed as L*q, and the sums are run up left to right, with
+    ``before``, the sum ahead of each run, the running total before the
+    run's own sum is added, never a difference. K counts N each for c_i and
+    T, R + 4 for a candidate's sum (the square, L*q, the run-up over at most
+    R runs, r*q and two additions), R + 2 for ``total``, a few for the
+    product, the quotient and the band, and spare: K = 2N + 2R + 16.
+
+    A filter settles most keys with one ``searchsorted``. Take a run of one
+    index s with square q, and ``at = before + q``: the candidate sums of s
+    in ``_run_table_search``. For a target t = key * ``total``,
+    ``_proven_search`` proves s exactly when ``before < t*below - alpha``
+    and ``at > t*above + alpha``, each side two rounded operations. A
+    correctly rounded product by a positive constant, or sum with a
+    constant, never decreases as t grows, in gradual underflow too, where
+    results round to multiples of 2**-1074. So the first test holds for
+    every t from some t1 up and the second for every t up to some t2: the
+    targets that prove s are the floats of [t1, t2]. ``lo`` starts at
+    ``(before + alpha)/below`` and ``hi`` at ``(at - alpha)/above``, the
+    real-number ends, and each steps inward one float at a time until the
+    test, evaluated at it in Python's doubles as numpy evaluates it per
+    key, holds. Then every t in [lo, hi] passes both. A zero target never
+    does: ``before >= 0`` is not below ``-alpha``, so lo > 0. A subnormal
+    target needs no other argument. A run whose square lies inside the band
+    gives lo > hi and no interval.
+
+    The intervals come in index order and do not touch: hi < at, which is at
+    most the next ``before``, which is below the next lo. ``ends`` holds
+    each lo and the float after its hi, so
+    ``ends.searchsorted(t, side="right")`` is odd exactly inside an
+    interval, and ``pick_of`` maps it to s there and to -1 elsewhere. The
+    keys outside every interval, in longer runs, in a band or at 0, go on
+    to ``_run_table_search``, built the first time one does. A chunk with
+    one such key pays for both searches, so the filter is used only when
+    the runs of one index hold more than half the squares, as at a Grover
+    state near its optimal count; otherwise every key goes to
+    ``_run_table_search``.
+    """
+    n = amplitudes.size
+    rounds = 2 * n + 2 * len(squares) + 16
+    below, above, alpha = _band(n, rounds)
+    rows, singles, total, single_sum = [], [], 0.0, 0.0
+    for start, length, q in zip(starts, lengths, squares):
+        if q:
+            run_sum = length * q
+            rows.append((total, q, run_sum, length - 1, start))
+            if length == 1:
+                singles.append((total, q, start))
+                single_sum += q
+            total += run_sum
+    # A target of exactly ``total`` (key * total may round up to it) finds
+    # no run; this row gives it a candidate whose sum ahead, ``total``, is
+    # never below the band, so the key goes to the exact CDF.
+    rows.append((total, 1.0, 0.0, 0, n - 1))
+    if 2 * single_sum <= total:
+        return _run_table_search(amplitudes, rows, rounds)
+    ends, pick_of = [], [-1]
+    for before, q, start in singles:
+        at = before + q
+        lo = (before + alpha) / below
+        while not before < lo * below - alpha:
+            lo = math.nextafter(lo, math.inf)
+        hi = (at - alpha) / above
+        while not at > hi * above + alpha:
+            hi = math.nextafter(hi, -math.inf)
+        if lo <= hi:
+            ends += lo, math.nextafter(hi, math.inf)
+            pick_of += start, -1
+    ends, pick_of = np.array(ends), np.array(pick_of, dtype=np.intp)
+    rest = None
+
+    def search(keys: np.ndarray) -> np.ndarray:
+        nonlocal rest
+        picks = pick_of.take(ends.searchsorted(keys * total, side="right"))
+        if picks.min() < 0:
+            todo = np.flatnonzero(picks < 0)
+            if rest is None:
+                rest = _run_table_search(amplitudes, rows, rounds)
+            picks[todo] = rest(keys.take(todo))
+        return picks
+
+    return search
+
+
+def _class_runs(state: StateVector) -> tuple[list, list, list] | None:
     """The runs of equal amplitude of a state that carries its two class
     values, as ``_run_search`` takes them: ``(starts, lengths, squares)``.
 
@@ -532,30 +664,38 @@ def _class_runs(state: StateVector) -> tuple[tuple, tuple, tuple] | None:
     values, whose vector was replaced or made writeable, or with more than
     ``_MAX_RUNS`` runs.
     """
-    record = state._class_values
-    amps = state.amplitudes
-    if record is None or record[0] is not amps or amps.flags.writeable:
+    if (shape := _class_shape(state)) is None:
         return None
-    _, unmarked, marked = record
-    idx, n = state._marked_idx, amps.size
+    idx, n = state._marked_idx, state.amplitudes.size
     # The position in idx of the last index of each segment but the last.
     cuts = (idx[1:] != idx[:-1] + 1).nonzero()[0].tolist()
     first, last = idx.item(0), idx.item(-1)
     if 2 * len(cuts) + 3 - (first == 0) - (last == n - 1) > _MAX_RUNS:
         return None
+    unmarked, marked, _ = _uniform_class_amplitudes(*shape)
     q_unmarked, q_marked = unmarked * unmarked, marked * marked
-    runs = []
+    # Segment k covers the indices from bounds[2k] up to bounds[2k + 1].
+    bounds = [first]
+    for i in cuts:
+        bounds += idx.item(i) + 1, idx.item(i + 1)
+    bounds.append(last + 1)
+    starts, lengths, squares = [], [], []
     end = 0  # one past the last index the runs so far cover
-    firsts = [first, *(idx.item(i + 1) for i in cuts)]
-    lasts = [*(idx.item(i) for i in cuts), last]
-    for lo, hi in zip(firsts, lasts):
+    for k in range(0, len(bounds), 2):
+        lo, hi = bounds[k], bounds[k + 1]
         if lo > end:
-            runs.append((end, lo - end, q_unmarked))
-        runs.append((lo, hi + 1 - lo, q_marked))
-        end = hi + 1
+            starts.append(end)
+            lengths.append(lo - end)
+            squares.append(q_unmarked)
+        starts.append(lo)
+        lengths.append(hi - lo)
+        squares.append(q_marked)
+        end = hi
     if end < n:
-        runs.append((end, n - end, q_unmarked))
-    return tuple(zip(*runs))
+        starts.append(end)
+        lengths.append(n - end)
+        squares.append(q_unmarked)
+    return starts, lengths, squares
 
 
 def _draw_indices(state: StateVector, seed: int, out: array) -> None:
@@ -591,11 +731,13 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> array:
     straight into the result, so no other array as long as the draws exists.
     Each chunk is looked up by one of four means:
 
-    - fewer than N/16 draws from a state that ``grover_iterate`` wrote from
-      a broadcast, as every Grover state from the uniform start is, with at
-      most ``_MAX_RUNS`` runs: the run sums, found from the marked indices
-      and the state's two values, with no pass over the vector
-      (``_run_search``).
+    - fewer than N/16 draws from the uniform start or a state that
+      ``grover_iterate`` wrote from a broadcast, as every Grover state from
+      the uniform start is, with at most ``_MAX_RUNS`` runs: the run sums,
+      found from the marked indices and the state's two values, with no
+      pass over the vector (``_run_search``). When runs of one index hold
+      most of the squares, one ``searchsorted`` over the target intervals
+      that the error bound proves for them settles most keys first.
     - any other vector with at most N/256 draws: block sums of the squares,
       with the running sum rebuilt only in the blocks the keys hit
       (``_block_search``).

@@ -45,6 +45,10 @@ GOLDEN = [
     ("search --log2-n 20 --marked-count 3 --draws 256 --seed 5", "5621ed4dcae139f8c2a5f7fd1f18ee42f5d07da74b7ae12468ccbec128d5ca23"),
     # the size most benchmark operations search
     ("search --log2-n 14 --draws 256 --seed 3", "01bf05e8af7b33a8da6ee7db7339b9988648ac6d36860cdad4b6e051b2a85f31"),
+    # the uniform start itself, sampled from its runs; both recorded from
+    # the block sums and the exact CDF search
+    ("search --log2-n 16 --iterations 0 --draws 256 --seed 3", "374e254bf81d5d27086f4e5d9dd39e49ca2cb68e615acc4d889545b1bbc45194"),
+    ("search --log2-n 20 --marked-count 3 --iterations 0 --draws 256 --seed 3", "f8bd82ac50d3a255e4f674deea9d23ca362ff2dc4cf70d7fbbe40c8896e02364"),
 ]
 
 

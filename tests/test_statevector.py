@@ -564,6 +564,54 @@ def test_marked_probability_after_three_iterations_n16():
     assert math.sin(7 * math.asin(0.25)) ** 2 == pytest.approx(expected, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("ignore::groversim.RegimeWarning")
+@given(
+    vector_sizes.flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=1, max_value=n - 1))
+    ),
+    st.one_of(
+        st.integers(min_value=0, max_value=400),
+        st.sampled_from(["optimal", "over-rotated"]),
+    ),
+    st.sampled_from(["init_uniform", "broadcast", "negative", "as_strided"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example((2**16, 1), 0, "init_uniform", 0)
+@example((2**16, 2**15 + 3), "optimal", "init_uniform", 1)  # many blocks of squares
+@example((2**12, 2**10), 1, "negative", 2)  # the unmarked value is 0.0
+def test_a_cached_marked_probability_is_the_sum_over_the_gather(shape, count, kind, seed):
+    """A state that carries its class values reads its marked probability
+    from the per-shape cache: the float that gathering its marked
+    amplitudes and summing their squares gives, bit for bit."""
+    n, n2 = shape
+    marked = np.random.default_rng(seed).choice(n, n2, replace=False).tolist()
+    start = _broadcast_start(kind, n, marked)
+    optimal = optimal_iterations(start.params)
+    count = {"optimal": optimal, "over-rotated": 3 * optimal + 2}.get(count, count)
+    result = grover_iterate(start, count)
+    assert statevector._class_shape(result) is not None
+    assert (statevector._class_shape(start) is not None) == (kind == "init_uniform")
+    for state in (start, result):
+        gathered = statevector._sum_of_squares(state.amplitudes[state._marked_idx])
+        assert marked_probability(state) == gathered
+
+
+def test_marked_probability_of_a_replaced_or_writeable_vector_is_its_gather():
+    n = 2**12
+    state = grover_iterate(init_uniform(SearchParams(n - 1, 1), [100]), 3)
+    cached = marked_probability(state)
+    # Other values, also read-only: the class values no longer describe them.
+    amps = np.full(n, 1 / sqrt(n))
+    amps.flags.writeable = False
+    state.amplitudes = amps
+    assert marked_probability(state) == statevector._sum_of_squares(amps[[100]]) != cached
+    # The same array, made writeable and written, is read again.
+    state = grover_iterate(init_uniform(SearchParams(n - 1, 1), [100]), 3)
+    state.amplitudes.flags.writeable = True
+    state.amplitudes[100] = 0.5
+    assert marked_probability(state) == 0.25
+
+
 CHUNK = statevector._KEY_CHUNK
 
 
@@ -698,15 +746,24 @@ def test_block_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeyp
 
 
 @pytest.mark.parametrize("n", [1000, 3001, 2**16])
-@pytest.mark.parametrize("kind", ["uniform", "grover", "zero-runs", "underflow"])
+@pytest.mark.parametrize("kind", ["uniform", "grover", "optimal", "zero-runs", "underflow"])
 def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypatch, n, kind):
     """Keys at, beside and between the CDF values at the edges of the runs:
     a key equal to a CDF value or one step from it must go to the exact CDF
     and get its pick there, and a key halfway between CDF values that differ
-    enough is settled by the run sums alone."""
-    amps = _adversarial_states(n)[kind]
-    if kind == "underflow":  # the same values in runs of 64, not one by one
-        amps = np.repeat(amps[::64], 64)[:n]
+    enough is settled by the run sums alone. Where runs of one index hold
+    most of the squares (a Grover state at its optimum, isolated nonzero
+    amplitudes), the filter settles those keys without the unfiltered
+    search, which gives the same picks on every key."""
+    if kind == "optimal":
+        params = SearchParams(n - 3, 3)
+        start = init_uniform(params, {5, n // 2, n - 1})
+        amps = grover_iterate(start, optimal_iterations(params)).amplitudes
+    else:
+        amps = _adversarial_states(n)[kind]
+    if kind == "underflow":  # the same values in runs, not one by one
+        width = max(64, n // 64)  # few enough runs for the run path
+        amps = np.repeat(amps[::width], width)[:n]
         amps /= sqrt(fsum((amps * amps).tolist()))
     cdf = np.cumsum(amps * amps)
     cdf /= cdf[-1]
@@ -726,10 +783,25 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
 
     builds, exact_cdf = [], statevector._cdf
     monkeypatch.setattr(statevector, "_cdf", lambda a: builds.append(1) or exact_cdf(a))
+    # The unfiltered search, and the keys the filter leaves it.
+    tables, reached = [], []
+
+    def table_search(*args, build=statevector._run_table_search):
+        tables.append(build(*args))
+        return lambda k: reached.extend(k.tolist()) or tables[-1](k)
+
+    monkeypatch.setattr(statevector, "_run_table_search", table_search)
     search = statevector._run_search(amps, *runs)
     # All the keys in one call, proven and unproven ones mixed.
     assert search(keys).tolist() == reference(keys)
     assert len(builds) == 1
+    # Key 0 is in no interval, so the unfiltered search was built.
+    assert len(tables) == 1 and tables[0](keys).tolist() == reference(keys)
+    wide = np.diff(cdf)[at] > 1e-6
+    singles = [start for start, length in zip(*runs[:2]) if length == 1]
+    at_singles = wide & np.isin(at + 1, singles)  # a gap key picks at + 1
+    if kind in ("optimal", "zero-runs"):  # runs of one index hold most squares
+        assert at_singles.any() and not set(gaps[at_singles].tolist()) & set(reached)
     # Key by key, counting the keys that needed the exact CDF.
     fell_back = []
     for key in keys:
@@ -738,8 +810,71 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
         fell_back.append(bool(builds))
     at_edges, in_gaps = np.split(np.array(fell_back), [edges.size])
     assert at_edges.all()
-    wide = np.diff(cdf)[at] > 1e-6
     assert wide.any() and not in_gaps[wide].any()
+
+
+@pytest.mark.filterwarnings("ignore::groversim.RegimeWarning")
+@given(
+    st.integers(min_value=2, max_value=16),
+    st.integers(min_value=1, max_value=63),
+    st.sampled_from(["random", "adjacent", "ends", "prefix"]),
+    st.sampled_from(["none", "optimal", "over-rotated", "any"]),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+# n2 = N/4 and one iteration: the unmarked square is 0.0, the marked runs hold all.
+@example(log2_n=6, n2=16, layout="random", counting="any", count=1, seed=1)
+# n2 = 3N/4 and one iteration: the marked square is 0.0.
+@example(log2_n=4, n2=12, layout="adjacent", counting="any", count=1, seed=2)
+# Indices 0 and N - 1 marked, at the optimum and at the uniform start.
+@example(log2_n=16, n2=2, layout="ends", counting="optimal", count=1, seed=3)
+@example(log2_n=16, n2=2, layout="ends", counting="none", count=1, seed=4)
+@example(log2_n=14, n2=4, layout="random", counting="over-rotated", count=3, seed=5)
+def test_the_single_index_filter_gives_the_exact_picks_on_grover_states(
+    log2_n, n2, layout, counting, count, seed
+):
+    """On a state that carries its class values, the run search with its
+    filter gives the picks of the unfiltered search and of the exact CDF:
+    key 0, random keys, and keys at, beside and inside the CDF values of
+    every run of one index, for adjacent marked segments, marked ends, runs
+    whose square is 0.0, the uniform start, and counts none, optimal and
+    over-rotated."""
+    n = 2**log2_n
+    rng = np.random.default_rng(seed)
+    marked = _marked_layout(rng, n, min(n2, n - 1), layout)
+    params = SearchParams(n - len(marked), len(marked))
+    optimum = optimal_iterations(params)
+    count = {"none": 0, "optimal": optimum, "over-rotated": 2 * optimum + 1 + count % 7}.get(
+        counting, count
+    )
+    state = grover_iterate(init_uniform(params, marked), count)
+    runs = statevector._class_runs(state)
+    amps = state.amplitudes
+    cdf = np.cumsum(amps * amps)
+    cdf /= cdf[-1]
+    ahead = np.r_[0.0, cdf[:-1]]  # the CDF value before each index
+    singles = np.array([i for i, length in zip(*runs[:2]) if length == 1], dtype=np.intp)
+    near = np.r_[ahead[singles], cdf[singles]]
+    inside = (ahead[singles] + cdf[singles]) / 2
+    beside = np.r_[np.nextafter(near, 0.0), np.nextafter(near, 1.0)]
+    keys = np.r_[0.0, rng.random(64), near, beside, inside]
+    keys = keys[keys < 1.0]
+    expected = np.searchsorted(cdf, keys, side="right").tolist()
+    tables = []
+    with pytest.MonkeyPatch.context() as patch:
+        build = statevector._run_table_search
+
+        def spy(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        patch.setattr(statevector, "_run_table_search", spy)
+        assert statevector._run_search(amps, *runs)(keys).tolist() == expected
+    assert len(tables) == 1  # key 0 is in no interval
+    assert tables[0](keys).tolist() == expected
+    draws = max(1, n // 17)
+    expected = np.searchsorted(cdf, np.random.default_rng(seed).random(draws), side="right")
+    assert measure_sample(state, seed, draws).tolist() == expected.tolist()
 
 
 @pytest.mark.filterwarnings("ignore::groversim.RegimeWarning")
@@ -795,6 +930,7 @@ def test_random_amplitudes_do_not_take_the_run_path(monkeypatch, log2_n, head):
     state = StateVector(amps / sqrt(fsum((amps * amps).tolist())), [3])
     assert statevector._class_runs(state) is None
     monkeypatch.setattr(statevector, "_run_search", None)  # a call would raise
+    monkeypatch.setattr(statevector, "_run_table_search", None)
     assert len(measure_sample(state, 1, 4)) == 4
 
 
@@ -833,7 +969,8 @@ def test_runs_from_the_marked_indices_match_the_exact_search(
     from runs found in its marked indices alone: those its neighbours show,
     and picks equal to a per-key search of the exact CDF, for keys at and
     beside the CDF values at every run edge, and through measure_sample.
-    With no iteration there is no such state, and the other paths sample."""
+    With no iteration the state is the uniform start, whose one value is
+    both class values."""
     n = 2**log2_n
     rng = np.random.default_rng(seed)
     marked = _marked_layout(rng, n, min(n2, n - 1), layout)
@@ -847,10 +984,12 @@ def test_runs_from_the_marked_indices_match_the_exact_search(
     cdf = np.cumsum(amps * amps)
     cdf /= cdf[-1]
     runs = statevector._class_runs(state)
-    if count == 0:
-        assert runs is None
-    else:
-        _, unmarked, marked_value = state._class_values
+    mask = np.zeros(n, dtype=bool)
+    mask[marked] = True
+    # The segments of marked and of unmarked indices: more than the run path takes, no runs.
+    assert (runs is None) == (1 + np.count_nonzero(mask[1:] != mask[:-1]) > statevector._MAX_RUNS)
+    if runs is not None:
+        unmarked, marked_value, _ = statevector._uniform_class_amplitudes(*state._class_values[1])
         if unmarked != marked_value:  # equal values would be one run to the scan
             assert [list(column) for column in runs] == list(scanned_runs(amps))
         edges = np.array(runs[0])
@@ -884,6 +1023,7 @@ def test_a_copy_of_a_grover_state_samples_the_same_picks_from_its_amplitudes(
     for draws in (3, 100):  # the block sums, then a search of each key in the CDF
         picks = measure_sample(state, 17, draws)
         monkeypatch.setattr(statevector, "_run_search", None)  # a call would raise
+        monkeypatch.setattr(statevector, "_run_table_search", None)
         assert measure_sample(copy, 17, draws) == picks
         monkeypatch.undo()
 
@@ -995,7 +1135,8 @@ def test_uniform_start_gives_the_results_of_the_materialized_start(log2_n, share
     for kernel in kernels:
         assert kernel(start).amplitudes.tobytes() == kernel(reference).amplitudes.tobytes()
     assert marked_probability(start) == marked_probability(reference)
-    # From 2^12 up: the block sums, a search of each key, and the guide table.
+    # From 2^12 up: the start's runs (at most 128) against the reference's
+    # block sums and search of each key, then the guide table on both.
     for draws in (max(n // ratio, 1) for ratio in (512, 64, 8)):
         assert measure_sample(start, 11, draws) == measure_sample(reference, 11, draws)
 
@@ -1029,13 +1170,12 @@ def test_uniform_start_is_read_only(log2_n):
 @pytest.mark.parametrize(
     "kernel, writeable",
     [
-        (lambda state: grover_iterate(state, 0), True),
         # From a broadcast the result carries its two values: read-only.
         (lambda state: grover_iterate(state, 3), False),
         (apply_oracle, True),
         (apply_diffusion, True),
     ],
-    ids=["iterate-0", "iterate-3", "oracle", "diffusion"],
+    ids=["iterate-3", "oracle", "diffusion"],
 )
 def test_kernels_return_fresh_writeable_vectors(log2_n, kernel, writeable):
     n = 2**log2_n
@@ -1043,6 +1183,24 @@ def test_kernels_return_fresh_writeable_vectors(log2_n, kernel, writeable):
     out = kernel(start).amplitudes
     assert out.flags.owndata and out.flags.c_contiguous and out.flags.writeable == writeable
     assert not np.shares_memory(out, start.amplitudes)
+
+
+@pytest.mark.parametrize("log2_n", [4, 16])
+@pytest.mark.parametrize("kind", ["init_uniform", "negative", "as_strided"])
+def test_zero_iterations_of_a_broadcast_give_a_fresh_read_only_broadcast(log2_n, kind):
+    # No pass over N: the one value, seen N times, carrying its shape.
+    n = 2**log2_n
+    start = _broadcast_start(kind, n, [1, n - 1])
+    state = grover_iterate(start, 0)
+    out = state.amplitudes
+    assert out.strides == (0,) and not out.flags.writeable
+    assert not np.shares_memory(out, start.amplitudes)
+    assert out.tobytes() == np.array(start.amplitudes).tobytes()
+    record, shape = state._class_values
+    assert record is out and shape == (float(start.amplitudes[0]), n, 2, 0)
+    # Any other vector still gets a writeable copy.
+    full = grover_iterate(StateVector(np.array(start.amplitudes), [1, n - 1]), 0).amplitudes
+    assert full.flags.owndata and full.flags.writeable
 
 
 def test_measure_sample_is_deterministic_on_point_mass():
