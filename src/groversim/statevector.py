@@ -40,8 +40,8 @@ The a-priori error bound of recursive summation (Higham
 and a key it cannot prove is searched in the exact CDF. On the run path
 the bound is also evaluated once per run of one index, such as an isolated
 marked state: the keys it proves form one interval, and one
-``searchsorted`` over those intervals settles most keys of a Grover state
-near its optimal count. With at least N/16
+``searchsorted`` over those intervals settles most chunks of keys of a
+Grover state near its optimal count. With at least N/16
 draws a guide table (Chen & Asau 1974; Devroye 1986, section III.2) of
 about 2N bucket bounds finds each pick, with neither a sort nor a binary
 search over the whole CDF.
@@ -83,13 +83,13 @@ _TABLE_RATIO = 16
 # Block sums replace the sequential running sum once draws * _BLOCK_RATIO <= N.
 _BLOCK_RATIO = 256
 # The run path takes vectors of at most this many runs of equal amplitude.
-# With 256 draws from Grover states of 2*n2 + 1 runs, at the optimal count
-# and after one iteration, it beat the block sums and the plain CDF up to
-# about 65 runs at N = 2^14, 150 at 2^16, 500 at 2^18 and 900 at 2^20. At
-# 1025 runs it lost at every N: 1.3-2.2 ms against 0.11-1.2 ms. At 129 runs
-# it took 0.16-0.20 ms against 0.11 ms at 2^14 and 0.2 against 0.7-1.3 ms
-# from 2^18 up.
-_MAX_RUNS = 128
+# It costs about 0.7 us a run whatever N is, the block sums and the plain
+# CDF O(N). With 256 draws from Grover states of 2*n2 + 1 runs, at the
+# optimal count and after one iteration, it beat them up to about 60-120
+# runs at N = 2^14, 130-250 at 2^16, 350-500 at 2^18 and 950 at 2^20. At
+# 1023 runs it took 0.6-0.8 ms, the others 0.10 ms at 2^14, 0.75 ms at
+# 2^20 and 2.5 ms at 2^22.
+_MAX_RUNS = 1024
 # The ``array`` typecode of one np.intp, so numpy reads such an array in place.
 _INTP = np.dtype(np.intp).char
 # Shapes (amplitude, N, n2, count) whose two class values and marked
@@ -524,11 +524,12 @@ def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], 
 
 
 def _run_table_search(
-    amplitudes: np.ndarray, rows: list[tuple], rounds: int
+    amplitudes: np.ndarray, rows: list, rounds: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """``_proven_search`` from the rows of the runs of equal amplitude that
-    ``_run_search`` builds, one per run of nonzero square q and length L:
-    ``(before, q, L*q, L - 1, first index)``, then a closing row.
+    ``_run_search`` builds, laid end to end in one flat list, five numbers
+    for each run of nonzero square q and length L: ``before, q, L*q, L - 1``
+    and the run's first index; then a closing row.
 
     ``before`` of each row is the running total ahead of its run, so
     ``before`` of the next row is the sum up to the run's end: those sums
@@ -538,7 +539,7 @@ def _run_table_search(
     subnormal), and the candidate's sums are ``before + r*q`` and that plus
     q. K = ``rounds``.
     """
-    table = np.array(rows)
+    table = np.array(rows, np.float64).reshape(-1, 5)
     prefix = np.ascontiguousarray(table[1:, 0])
 
     def candidates(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -554,7 +555,7 @@ def _run_table_search(
         before += r
         return picks, before, before + q
 
-    return _proven_search(amplitudes, rows[-1][0], rounds, candidates)
+    return _proven_search(amplitudes, rows[-5], rounds, candidates)
 
 
 def _run_search(
@@ -596,60 +597,50 @@ def _run_search(
     target needs no other argument. A run whose square lies inside the band
     gives lo > hi and no interval.
 
-    The intervals come in index order and do not touch: hi < at, which is at
-    most the next ``before``, which is below the next lo. ``ends`` holds
-    each lo and the float after its hi, so
-    ``ends.searchsorted(t, side="right")`` is odd exactly inside an
-    interval, and ``pick_of`` maps it to s there and to -1 elsewhere. The
-    keys outside every interval, in longer runs, in a band or at 0, go on
-    to ``_run_table_search``, built the first time one does. A chunk with
-    one such key pays for both searches, so the filter is used only when
-    the runs of one index hold more than half the squares, as at a Grover
-    state near its optimal count; otherwise every key goes to
-    ``_run_table_search``.
+    The intervals come in index order and do not touch: hi < at, which is
+    the next ``before``, which is below the next lo. ``ends`` holds each lo
+    and the float after its hi, so ``ends.searchsorted(t, side="right")``
+    is odd exactly inside an interval, and ``pick_of`` maps it to s there
+    and to -1 elsewhere. A chunk with a key outside every interval, in a
+    longer run, in a band or at 0, goes whole to ``_run_table_search``,
+    built the first time one does: its numpy calls cost the same for a few
+    keys as for the chunk, and the other keys get the same picks there.
     """
     n = amplitudes.size
     rounds = 2 * n + 2 * len(squares) + 16
     below, above, alpha = _band(n, rounds)
-    rows, singles, total, single_sum = [], [], 0.0, 0.0
+    rows, ends, pick_of, total = [], [], [-1], 0.0
     for start, length, q in zip(starts, lengths, squares):
         if q:
             run_sum = length * q
-            rows.append((total, q, run_sum, length - 1, start))
+            at = total + run_sum
             if length == 1:
-                singles.append((total, q, start))
-                single_sum += q
-            total += run_sum
+                lo = (total + alpha) / below
+                while not total < lo * below - alpha:
+                    lo = math.nextafter(lo, math.inf)
+                hi = (at - alpha) / above
+                while not at > hi * above + alpha:
+                    hi = math.nextafter(hi, -math.inf)
+                if lo <= hi:
+                    ends += lo, math.nextafter(hi, math.inf)
+                    pick_of += start, -1
+            rows += total, q, run_sum, length - 1, start
+            total = at
     # A target of exactly ``total`` (key * total may round up to it) finds
     # no run; this row gives it a candidate whose sum ahead, ``total``, is
     # never below the band, so the key goes to the exact CDF.
-    rows.append((total, 1.0, 0.0, 0, n - 1))
-    if 2 * single_sum <= total:
-        return _run_table_search(amplitudes, rows, rounds)
-    ends, pick_of = [], [-1]
-    for before, q, start in singles:
-        at = before + q
-        lo = (before + alpha) / below
-        while not before < lo * below - alpha:
-            lo = math.nextafter(lo, math.inf)
-        hi = (at - alpha) / above
-        while not at > hi * above + alpha:
-            hi = math.nextafter(hi, -math.inf)
-        if lo <= hi:
-            ends += lo, math.nextafter(hi, math.inf)
-            pick_of += start, -1
+    rows += total, 1.0, 0.0, 0, n - 1
     ends, pick_of = np.array(ends), np.array(pick_of, dtype=np.intp)
     rest = None
 
     def search(keys: np.ndarray) -> np.ndarray:
         nonlocal rest
         picks = pick_of.take(ends.searchsorted(keys * total, side="right"))
-        if picks.min() < 0:
-            todo = np.flatnonzero(picks < 0)
-            if rest is None:
-                rest = _run_table_search(amplitudes, rows, rounds)
-            picks[todo] = rest(keys.take(todo))
-        return picks
+        if picks.min() >= 0:
+            return picks
+        if rest is None:
+            rest = _run_table_search(amplitudes, rows, rounds)
+        return rest(keys)
 
     return search
 
@@ -674,27 +665,18 @@ def _class_runs(state: StateVector) -> tuple[list, list, list] | None:
         return None
     unmarked, marked, _ = _uniform_class_amplitudes(*shape)
     q_unmarked, q_marked = unmarked * unmarked, marked * marked
-    # Segment k covers the indices from bounds[2k] up to bounds[2k + 1].
-    bounds = [first]
+    # A run starts at 0, at the first index of each segment and one past
+    # its last index: unmarked, marked, unmarked and so on.
+    starts = [0, first]
     for i in cuts:
-        bounds += idx.item(i) + 1, idx.item(i + 1)
-    bounds.append(last + 1)
-    starts, lengths, squares = [], [], []
-    end = 0  # one past the last index the runs so far cover
-    for k in range(0, len(bounds), 2):
-        lo, hi = bounds[k], bounds[k + 1]
-        if lo > end:
-            starts.append(end)
-            lengths.append(lo - end)
-            squares.append(q_unmarked)
-        starts.append(lo)
-        lengths.append(hi - lo)
-        squares.append(q_marked)
-        end = hi
-    if end < n:
-        starts.append(end)
-        lengths.append(n - end)
-        squares.append(q_unmarked)
+        starts += idx.item(i) + 1, idx.item(i + 1)
+    starts.append(last + 1)
+    lengths = list(map(operator.sub, starts[1:] + [n], starts))
+    squares = [q_unmarked, q_marked] * (len(cuts) + 1) + [q_unmarked]
+    if last == n - 1:  # the last run is empty
+        del starts[-1], lengths[-1], squares[-1]
+    if first == 0:  # the first run is empty
+        del starts[0], lengths[0], squares[0]
     return starts, lengths, squares
 
 
@@ -735,9 +717,10 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> array:
       ``grover_iterate`` wrote from a broadcast, as every Grover state from
       the uniform start is, with at most ``_MAX_RUNS`` runs: the run sums,
       found from the marked indices and the state's two values, with no
-      pass over the vector (``_run_search``). When runs of one index hold
-      most of the squares, one ``searchsorted`` over the target intervals
-      that the error bound proves for them settles most keys first.
+      pass over the vector (``_run_search``). One ``searchsorted`` over
+      the target intervals that the error bound proves for the runs of one
+      index settles a chunk whose keys all fall in them, as most chunks of
+      a Grover state near its optimal count do.
     - any other vector with at most N/256 draws: block sums of the squares,
       with the running sum rebuilt only in the blocks the keys hit
       (``_block_search``).

@@ -751,19 +751,18 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
     """Keys at, beside and between the CDF values at the edges of the runs:
     a key equal to a CDF value or one step from it must go to the exact CDF
     and get its pick there, and a key halfway between CDF values that differ
-    enough is settled by the run sums alone. Where runs of one index hold
-    most of the squares (a Grover state at its optimum, isolated nonzero
-    amplitudes), the filter settles those keys without the unfiltered
-    search, which gives the same picks on every key."""
+    enough is settled by the run sums alone. A chunk of keys inside runs
+    of one index (a Grover state at its optimum, isolated nonzero
+    amplitudes) is settled by the filter without the unfiltered search,
+    which gives the same picks on every key."""
     if kind == "optimal":
         params = SearchParams(n - 3, 3)
         start = init_uniform(params, {5, n // 2, n - 1})
         amps = grover_iterate(start, optimal_iterations(params)).amplitudes
     else:
         amps = _adversarial_states(n)[kind]
-    if kind == "underflow":  # the same values in runs, not one by one
-        width = max(64, n // 64)  # few enough runs for the run path
-        amps = np.repeat(amps[::width], width)[:n]
+    if kind == "underflow":  # the same values in runs of 64, not one by one
+        amps = np.repeat(amps[::64], 64)[:n]
         amps /= sqrt(fsum((amps * amps).tolist()))
     cdf = np.cumsum(amps * amps)
     cdf /= cdf[-1]
@@ -783,12 +782,12 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
 
     builds, exact_cdf = [], statevector._cdf
     monkeypatch.setattr(statevector, "_cdf", lambda a: builds.append(1) or exact_cdf(a))
-    # The unfiltered search, and the keys the filter leaves it.
-    tables, reached = [], []
+    # The unfiltered search, built when a chunk holds a key the filter leaves.
+    tables, build = [], statevector._run_table_search
 
-    def table_search(*args, build=statevector._run_table_search):
+    def table_search(*args):
         tables.append(build(*args))
-        return lambda k: reached.extend(k.tolist()) or tables[-1](k)
+        return tables[-1]
 
     monkeypatch.setattr(statevector, "_run_table_search", table_search)
     search = statevector._run_search(amps, *runs)
@@ -801,7 +800,10 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
     singles = [start for start, length in zip(*runs[:2]) if length == 1]
     at_singles = wide & np.isin(at + 1, singles)  # a gap key picks at + 1
     if kind in ("optimal", "zero-runs"):  # runs of one index hold most squares
-        assert at_singles.any() and not set(gaps[at_singles].tolist()) & set(reached)
+        inside = gaps[at_singles]
+        tables.clear()
+        assert statevector._run_search(amps, *runs)(inside).tolist() == reference(inside)
+        assert inside.size and not tables
     # Key by key, counting the keys that needed the exact CDF.
     fell_back = []
     for key in keys:
@@ -984,20 +986,16 @@ def test_runs_from_the_marked_indices_match_the_exact_search(
     cdf = np.cumsum(amps * amps)
     cdf /= cdf[-1]
     runs = statevector._class_runs(state)
-    mask = np.zeros(n, dtype=bool)
-    mask[marked] = True
-    # The segments of marked and of unmarked indices: more than the run path takes, no runs.
-    assert (runs is None) == (1 + np.count_nonzero(mask[1:] != mask[:-1]) > statevector._MAX_RUNS)
-    if runs is not None:
-        unmarked, marked_value, _ = statevector._uniform_class_amplitudes(*state._class_values[1])
-        if unmarked != marked_value:  # equal values would be one run to the scan
-            assert [list(column) for column in runs] == list(scanned_runs(amps))
-        edges = np.array(runs[0])
-        near = np.r_[edges - 1, edges, n - 1].clip(0, n - 1)
-        keys = np.r_[rng.random(100), cdf[near], np.nextafter(cdf[near], 0.0)]
-        keys = keys[keys < 1.0]
-        expected = [int(np.searchsorted(cdf, key, side="right")) for key in keys]
-        assert statevector._run_search(amps, *runs)(keys).tolist() == expected
+    assert runs is not None  # at most 2*300 + 1 runs
+    unmarked, marked_value, _ = statevector._uniform_class_amplitudes(*state._class_values[1])
+    if unmarked != marked_value:  # equal values would be one run to the scan
+        assert [list(column) for column in runs] == list(scanned_runs(amps))
+    edges = np.array(runs[0])
+    near = np.r_[edges - 1, edges, n - 1].clip(0, n - 1)
+    keys = np.r_[rng.random(100), cdf[near], np.nextafter(cdf[near], 0.0)]
+    keys = keys[keys < 1.0]
+    expected = [int(np.searchsorted(cdf, key, side="right")) for key in keys]
+    assert statevector._run_search(amps, *runs)(keys).tolist() == expected
     draws = max(1, n // 17)
     expected = np.searchsorted(cdf, np.random.default_rng(seed).random(draws), side="right")
     assert measure_sample(state, seed, draws).tolist() == expected.tolist()
@@ -1135,8 +1133,8 @@ def test_uniform_start_gives_the_results_of_the_materialized_start(log2_n, share
     for kernel in kernels:
         assert kernel(start).amplitudes.tobytes() == kernel(reference).amplitudes.tobytes()
     assert marked_probability(start) == marked_probability(reference)
-    # From 2^12 up: the start's runs (at most 128) against the reference's
-    # block sums and search of each key, then the guide table on both.
+    # From 2^12 up: the start's runs (where it has at most _MAX_RUNS) against
+    # the reference's block sums and search of each key, then the guide table.
     for draws in (max(n // ratio, 1) for ratio in (512, 64, 8)):
         assert measure_sample(start, 11, draws) == measure_sample(reference, 11, draws)
 
