@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,26 @@ def test_search_with_draws_appends_sample_comments(capsys):
     assert "# sample_draws=100 seed=5 iterations=1" in out
     # one iteration at N=4 is deterministic: every draw lands on the marked index
     assert "# sample index=0 count=100" in out
+
+
+@pytest.mark.parametrize("iterations", ["0", "1"])
+@pytest.mark.parametrize("draws", [255, 256, 257, 4096])
+def test_sample_listing_is_the_same_text_either_side_of_the_switch(capsys, iterations, draws):
+    # At N = 2^10 the draws are counted by sorting them below N/4 = 256
+    # draws and by counting all N indices from there up; either way the
+    # listing holds each drawn index once, in order, with its count.
+    code, out, _ = run_cli(
+        capsys, "search", "--log2-n", "10", "--marked-count", "3",
+        "--iterations", iterations, "--draws", str(draws), "--seed", "7",
+    )
+    assert code == 0
+    params = groversim.SearchParams(2**10 - 3, 3)
+    state = groversim.grover_iterate(groversim.init_uniform(params, range(3)), int(iterations))
+    counts = Counter(groversim.measure_sample(state, 7, draws))
+    expected = [f"# sample_draws={draws} seed=7 iterations={iterations}"]
+    expected += [f"# sample index={i} count={counts[i]}" for i in sorted(counts)]
+    assert out.splitlines()[-len(expected) :] == expected
+    assert len(counts) > 100  # many distinct indices, most drawn once
 
 
 def test_search_with_draws_at_the_statevector_cap(capsys):

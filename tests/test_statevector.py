@@ -684,6 +684,76 @@ def test_measure_sample_at_two_to_the_twenty_matches_the_plain_reference():
     assert measure_sample(state, 5, 4000).tolist() == expected
 
 
+def _guide_of(search):
+    """The guide table held by a ``_guide_table_search`` closure."""
+    cells = dict(zip(search.__code__.co_freevars, search.__closure__))
+    return cells["guide"].cell_contents
+
+
+def _guide_states(n):
+    """Amplitudes for the guide-table build: random, a single marked state at
+    the optimum in mid-slice (the CDF rises by nearly 1 inside one slice),
+    zero runs whose tied CDF values straddle the slice edges, and the
+    adversarial states, subnormal squares included."""
+    rng = np.random.default_rng(n)
+    params = SearchParams(n - 1, 1)
+    optimal = grover_iterate(init_uniform(params, [n // 2 + 5]), optimal_iterations(params))
+    # Half the mass at index 0, so that CHUNK values after it span fewer
+    # than the 4*CHUNK buckets a slice may hold: each slice ends after CHUNK
+    # values, inside a run of zeros.
+    straddle = rng.standard_normal(n)
+    straddle[np.abs(np.arange(n) - np.round(np.arange(n) / CHUNK) * CHUNK) < 40] = 0.0
+    straddle[0] = sqrt(fsum((straddle[1:] * straddle[1:]).tolist()))
+    straddle /= sqrt(fsum((straddle * straddle).tolist()))
+    random = rng.standard_normal(n)
+    random /= sqrt(fsum((random * random).tolist()))
+    states = {"random": random, "optimal": optimal.amplitudes, "straddle": straddle}
+    return {**states, **_adversarial_states(n)}
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+@pytest.mark.parametrize(
+    "kind", ["random", "optimal", "straddle", "uniform", "grover", "zero-runs", "underflow"]
+)
+def test_guide_table_built_in_slices_matches_the_one_shot_build(monkeypatch, n, kind):
+    """The table built slice by slice equals ``cumsum(bincount(ceil(cdf*m)))``
+    built in one go, in 4-byte bounds, and its picks equal ``searchsorted``
+    on keys at the CDF values either side of each slice edge, one step from
+    them, at the bucket edges j/m, at 0.0 and at the largest double below
+    1.0. The picks are the same with ``np.intp`` bounds."""
+    cdf = statevector._cdf(_guide_states(n)[kind])
+    m = 1 << n.bit_length()
+    edges = np.arange(CHUNK, n, CHUNK)
+    if kind == "straddle":
+        assert (np.diff(np.ceil(np.r_[cdf[::CHUNK], 1.0] * m)) < 2 * CHUNK).all()
+        assert (cdf[edges - 1] == cdf[edges]).all()
+    guide = _guide_of(statevector._guide_table_search(cdf))
+    assert guide.dtype == np.int32
+    expected = np.cumsum(np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1))
+    assert guide.tolist() == expected.tolist()
+    at = np.r_[0, 1, edges - 2, edges - 1, edges, edges + 1, n // 2 - 1 : n // 2 + 8, n - 2]
+    at = np.unique(at[(at >= 0) & (at < n - 1)])
+    values = np.r_[cdf[at], np.nextafter(cdf[at], 0.0), np.nextafter(cdf[at], 1.0)]
+    buckets = np.ceil(cdf[at] * m)
+    buckets = np.r_[buckets - 1, buckets, buckets + 1, 0, 1, m // 2, m - 1]
+    keys = np.r_[values, buckets[(buckets >= 0) & (buckets < m)] / m, 0.0, np.nextafter(1.0, 0.0)]
+    keys = np.r_[keys[(keys >= 0.0) & (keys < 1.0)], np.random.default_rng(n).random(2000)]
+    reference = np.searchsorted(cdf, keys, side="right").tolist()
+    assert statevector._guide_table_search(cdf)(keys).tolist() == reference
+    monkeypatch.setattr(statevector, "_bounds_dtype", lambda n: np.intp)
+    search = statevector._guide_table_search(cdf)
+    assert _guide_of(search).dtype == np.intp
+    assert search(keys).tolist() == reference
+
+
+def test_guide_bounds_are_four_bytes_while_twice_n_fits():
+    # Every bound is at most N and every bisection sum left + right at most 2N.
+    assert statevector._bounds_dtype(2) is np.int32
+    assert statevector._bounds_dtype(2**30 - 2) is np.int32  # 2N + 2 == 2**31 - 2
+    assert 2 * (2**30 - 2) + 2 <= np.iinfo(np.int32).max
+    assert statevector._bounds_dtype(2**30 - 1) is np.intp  # 2N + 2 == 2**31
+
+
 def scanned_runs(amps):
     """The runs of equal amplitude as ``(starts, lengths, squares)``, found by
     comparing neighbours: the reference for the runs ``measure_sample``
@@ -780,8 +850,20 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
     def reference(k):
         return [int(np.searchsorted(cdf, key, side="right")) for key in k]
 
-    builds, exact_cdf = [], statevector._cdf
-    monkeypatch.setattr(statevector, "_cdf", lambda a: builds.append(1) or exact_cdf(a))
+    builds, received, exact_cdf = [], [], statevector._cdf
+
+    class LoggedCdf(np.ndarray):
+        """The exact CDF, logging the keys that its ``searchsorted`` gets."""
+
+        def searchsorted(self, v, side="left", sorter=None):
+            received.extend(np.atleast_1d(v).tolist())
+            return np.asarray(self).searchsorted(v, side, sorter)
+
+    def logged_cdf(a):
+        builds.append(1)
+        return exact_cdf(a).view(LoggedCdf)
+
+    monkeypatch.setattr(statevector, "_cdf", logged_cdf)
     # The unfiltered search, built when a chunk holds a key the filter leaves.
     tables, build = [], statevector._run_table_search
 
@@ -804,12 +886,14 @@ def test_run_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypat
         tables.clear()
         assert statevector._run_search(amps, *runs)(inside).tolist() == reference(inside)
         assert inside.size and not tables
-    # Key by key, counting the keys that needed the exact CDF.
-    fell_back = []
+    # Key by key through one search, counting the keys that its exact CDF
+    # received: the CDF is built once and each key that needs it is logged.
+    search, fell_back = statevector._run_search(amps, *runs), []
     for key in keys:
-        builds.clear()
-        assert statevector._run_search(amps, *runs)(np.array([key])).tolist() == reference([key])
-        fell_back.append(bool(builds))
+        received.clear()
+        assert search(np.array([key])).tolist() == reference([key])
+        assert received in ([], [key])
+        fell_back.append(bool(received))
     at_edges, in_gaps = np.split(np.array(fell_back), [edges.size])
     assert at_edges.all()
     assert wide.any() and not in_gaps[wide].any()
@@ -1053,11 +1137,21 @@ def test_sum_of_squares_is_the_blocked_sum_at_every_length(n):
     assert statevector._sum_of_squares(x) == float(sums.sum() + tail)
 
 
-def test_measure_sample_peak_memory_beside_the_picks_is_bounded():
+@pytest.mark.parametrize("marked", ["spread", "one-optimal"])
+def test_measure_sample_peak_memory_beside_the_picks_is_bounded(marked):
     # The whole call, its result included, holds the picks once (8 bytes a
     # draw) and O(N) tables: no second draws-long buffer, no boxed ints.
+    # Beside the picks: the CDF (8N), the guide table's 2N + 1 4-byte
+    # bounds (8N) and the scratch of one slice and one chunk of keys, about
+    # 19N; a build that held the whole scaled CDF and an N-long intp count
+    # at once took 40N. One marked state at the optimum puts nearly the
+    # whole rise of the CDF inside one slice, whose count stays short.
     n, draws = 2**18, 10**6
-    state = grover_iterate(init_uniform(SearchParams(n - 1024, 1024), range(0, n, 256)), 3)
+    if marked == "spread":
+        state = grover_iterate(init_uniform(SearchParams(n - 1024, 1024), range(0, n, 256)), 3)
+    else:
+        params = SearchParams(n - 1, 1)
+        state = grover_iterate(init_uniform(params, [n // 2 + 5]), optimal_iterations(params))
     tracemalloc.start()
     try:
         picks = measure_sample(state, 9, draws)
@@ -1065,7 +1159,7 @@ def test_measure_sample_peak_memory_beside_the_picks_is_bounded():
     finally:
         tracemalloc.stop()
     assert len(picks) == draws
-    assert peak <= 8 * draws + 64 * n
+    assert peak <= 8 * draws + 24 * n
 
 
 @pytest.mark.parametrize(
