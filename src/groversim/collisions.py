@@ -19,6 +19,7 @@ label is diagnostic metadata only.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -186,6 +187,7 @@ def closed_form_velocities(
 
     u_n = v sqrt(N/n1) cos((2n+1) theta),  v_n = v sqrt(N/n2) sin((2n+1) theta).
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
     phi = (2 * n + 1) * rotation_angle(params, theta_mode)

@@ -33,21 +33,20 @@ as the draws and builds no Python int per draw.
 With fewer than N/16 draws, a state that carries its two values is sampled
 run by run: its runs of equal amplitude (at most 2*n2 + 1) come from the
 segments of consecutive marked indices, with no pass over the vector, and
-the run sums replace the N-long running sum. Any other vector is sampled
-from block sums of the squares (at most N/256 draws) or from the exact CDF.
-The a-priori error bound of recursive summation (Higham
-2002, section 4.2) proves the picks of those sums equal to the exact ones,
-and a key it cannot prove is searched in the exact CDF. On the run path
-the bound is also evaluated once per run of one index, such as an isolated
-marked state: the keys it proves form one interval, and one
+the run sums replace the N-long running sum. The a-priori error bound of
+recursive summation (Higham 2002, section 4.2) proves the picks of those
+sums equal to the exact ones, and a key it cannot prove is searched in the
+exact CDF. The bound is also evaluated once per run of one index, such as
+an isolated marked state: the keys it proves form one interval, and one
 ``searchsorted`` over those intervals settles most chunks of keys of a
-Grover state near its optimal count. With at least N/16
-draws a guide table (Chen & Asau 1974; Devroye 1986, section III.2) of
-about 2N bucket bounds finds each pick, with neither a sort nor a binary
-search over the whole CDF. The table is built one slice of the CDF at a
-time into 4-byte bounds, so beside the picks the path holds the CDF, the
-table and the scratch of one slice: about 19N bytes, where a build over the
-whole CDF at once held 40N.
+Grover state near its optimal count. With at least N/16 draws a guide
+table (Chen & Asau 1974; Devroye 1986, section III.2) of about 2N bucket
+bounds finds each pick, with neither a sort nor a binary search over the
+whole CDF. The table is built one slice of the CDF at a time into 4-byte
+bounds, so beside the picks the path holds the CDF, the table and the
+scratch of one slice: about 19N bytes, where a build over the whole CDF at
+once held 40N. Any other vector, with fewer than N/16 draws, has each key
+searched in the exact CDF.
 
 Invariants are checked when a state is built from caller input; the
 kernels, two reflections, keep them by construction. A vector that repeats
@@ -83,15 +82,13 @@ _SQUARES_BLOCK = 256
 _KEY_CHUNK = 1 << 14
 # A guide table, O(N) to build, is used once draws * _TABLE_RATIO >= N.
 _TABLE_RATIO = 16
-# Block sums replace the sequential running sum once draws * _BLOCK_RATIO <= N.
-_BLOCK_RATIO = 256
 # The run path takes vectors of at most this many runs of equal amplitude.
-# It costs about 0.7 us a run whatever N is, the block sums and the plain
-# CDF O(N). With 256 draws from Grover states of 2*n2 + 1 runs, at the
-# optimal count and after one iteration, it beat them up to about 60-120
-# runs at N = 2^14, 130-250 at 2^16, 350-500 at 2^18 and 950 at 2^20. At
-# 1023 runs it took 0.6-0.8 ms, the others 0.10 ms at 2^14, 0.75 ms at
-# 2^20 and 2.5 ms at 2^22.
+# It costs about 0.7-1.4 us a run whatever N is, the plain CDF O(N). With
+# 256 draws from Grover states of 2*n2 + 1 runs, at the optimal count and
+# after one iteration (best of 7), it beat the plain CDF up to about 33-65
+# runs at N = 2^14 and 257-513 at 2^16, and at every count up to 1023 runs
+# from 2^18 on. At 1023 runs it took 0.65-1.4 ms, the plain CDF 0.13 ms at
+# 2^14, 0.33 ms at 2^16, 1.4 ms at 2^18 and 6.2 ms at 2^20.
 _MAX_RUNS = 1024
 # The ``array`` typecode of one np.intp, so numpy reads such an array in place.
 _INTP = np.dtype(np.intp).char
@@ -100,26 +97,19 @@ _INTP = np.dtype(np.intp).char
 _CLASS_CACHE_SIZE = 256
 
 
-def _block_squares(x: np.ndarray, width: int) -> tuple[np.ndarray, float]:
-    """The sums of x*x over each full block of ``width`` elements, and over
-    the ragged tail after them (0.0 when there is none)."""
-    cut = x.size - x.size % width
-    blocks = x[:cut].reshape(-1, width)
-    tail = x[cut:]
-    return np.einsum("ij,ij->i", blocks, blocks), np.einsum("i,i->", tail, tail)
-
-
 def _sum_of_squares(x: np.ndarray) -> float:
     """Sum of x*x without a BLAS dot product, which runs on OpenBLAS's thread
     pool and stalls when another process holds a core. einsum sums blocks of
     ``_SQUARES_BLOCK`` products and numpy's pairwise sum adds the block
-    totals, which keeps the result within a few ulps of the exact sum and
-    allocates only N/_SQUARES_BLOCK partial sums. Fewer values than one
-    block are one einsum, the same float as ``0.0 + tail``."""
+    totals, then the ragged tail's sum, which keeps the result within a few
+    ulps of the exact sum and allocates only N/_SQUARES_BLOCK partial sums.
+    Fewer values than one block are one einsum, the same float as
+    ``0.0 + tail``."""
     if x.size < _SQUARES_BLOCK:
         return float(np.einsum("i,i->", x, x))
-    sums, tail = _block_squares(x, _SQUARES_BLOCK)
-    return float(sums.sum() + tail)
+    cut = x.size - x.size % _SQUARES_BLOCK
+    blocks, tail = x[:cut].reshape(-1, _SQUARES_BLOCK), x[cut:]
+    return float(np.einsum("ij,ij->i", blocks, blocks).sum() + np.einsum("i,i->", tail, tail))
 
 
 def _marked_indices(marked, n_total: int) -> np.ndarray:
@@ -341,6 +331,7 @@ def grover_iterate(state: StateVector, count: int) -> StateVector:
     ``count`` is 0, and the state carries its shape for ``measure_sample``
     and ``marked_probability``.
     """
+    count = operator.index(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     amps, idx = state.amplitudes, state._marked_idx
@@ -465,124 +456,56 @@ def _cdf(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def _band(n: int, rounds: int) -> tuple[float, float, float]:
-    """``(1 - delta, 1 + delta, alpha)`` of ``_proven_search`` for an
+    """``(1 - delta, 1 + delta, alpha)`` of ``_run_table_search`` for an
     N-vector and K = ``rounds``."""
     delta = 2 * rounds * 2.0**-53
     return 1.0 - delta, 1.0 + delta, (4 * n + 32) * 2.0**-1074
 
 
-def _proven_search(
-    amplitudes: np.ndarray,
-    total: float,
-    rounds: int,
-    candidates: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+def _run_table_search(
+    amplitudes: np.ndarray, rows: list, rounds: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """``np.searchsorted(_cdf(amplitudes), keys, side="right")`` for keys in
-    [0, 1), from candidate picks proven exact by an error bound.
+    [0, 1), from the rows of the runs of equal amplitude that ``_run_search``
+    builds, with each pick proven exact by an error bound.
 
-    For each ``target = key * total``, ``candidates`` gives a pick p and
-    its sums of the squares up to p - 1 and up to p, found some way other
-    than the N-long running sum; ``total`` is the sum of all the squares
-    found that same way. The CDF value at i is c_i / T, where c_i is the
-    running sum of the rounded squares and T = c_{N-1}. Each of c_i, T, a
-    candidate's sum and ``total`` is the sum of the exact squares with every
-    term off by a factor within 1 +- gamma_K (Higham 2002, section 4.2 and
-    lemma 3.1), whatever the order of the additions and whether a product
-    is rounded or fused. ``rounds`` (K) counts the roundings on the way to
-    one comparison. A square or product that underflows errs by at most
-    2**-1075; the four sums hold at most 6N + 2 such errors, and
-    ``alpha = (8N + 64)*2**-1075`` covers them. With
-    ``delta = 2*K*2**-53 >= gamma_K``, a sum below
-    ``target*(1 - delta) - alpha`` proves its CDF value ``<= key`` and one
-    above ``target*(1 + delta) + alpha`` proves it ``> key``. The CDF is
-    non-decreasing, so proving the sums just before and at p proves p
-    exact: a floating-point filter with an exact fallback (Shewchuk 1997).
-    A key that is not proven is searched in the exact CDF, built on first
-    need and kept for the later chunks.
+    The rows lie end to end in one flat list, five numbers for each run of
+    nonzero square q and length L: ``before, q, L*q, L - 1`` and the run's
+    first index; then a closing row, whose ``before`` is ``total``, the sum
+    of all the run sums. ``before`` of each row is the running total ahead
+    of its run, so ``before`` of the next row is the sum up to the run's
+    end: those sums make ``prefix``. For each ``target = key * total`` the
+    run holding it is found in ``prefix``; the candidate pick is the run's
+    first index plus ``r = floor(min(target - before, L*q) / q)``, at most
+    L - 1 (the cap keeps the quotient near L when q is subnormal), and its
+    sums of the squares up to the pick - 1 and up to the pick are
+    ``before + r*q`` and that plus q.
+
+    The CDF value at i is c_i / T, where c_i is the running sum of the
+    rounded squares and T = c_{N-1}. Each of c_i, T, a candidate's sum and
+    ``total`` is the sum of the exact squares with every term off by a
+    factor within 1 +- gamma_K (Higham 2002, section 4.2 and lemma 3.1),
+    whatever the order of the additions and whether a product is rounded or
+    fused. ``rounds`` (K) counts the roundings on the way to one comparison.
+    A square or product that underflows errs by at most 2**-1075; the four
+    sums hold at most 6N + 2 such errors, and ``alpha = (8N + 64)*2**-1075``
+    covers them. With ``delta = 2*K*2**-53 >= gamma_K`` (``_band``), a sum
+    below ``target*(1 - delta) - alpha`` proves its CDF value ``<= key`` and
+    one above ``target*(1 + delta) + alpha`` proves it ``> key``. The CDF is
+    non-decreasing, so proving the sums just before and at the pick proves
+    it exact: a floating-point filter with an exact fallback (Shewchuk
+    1997). A key that is not proven is searched in the exact CDF, built on
+    first need and kept for the later chunks.
     """
+    table = np.array(rows, np.float64).reshape(-1, 5)
+    prefix = np.ascontiguousarray(table[1:, 0])
+    total = rows[-5]
     below, above, alpha = _band(amplitudes.size, rounds)
     cdf = None
 
     def search(keys: np.ndarray) -> np.ndarray:
         nonlocal cdf
         target = keys * total
-        picks, sum_before, sum_at = candidates(target)
-        proven = sum_before < target * below - alpha
-        proven &= sum_at > target * above + alpha
-        if np.count_nonzero(proven) < proven.size:  # faster than not proven.all()
-            unproven = np.flatnonzero(~proven)
-            if cdf is None:
-                cdf = _cdf(amplitudes)
-            picks[unproven] = np.searchsorted(cdf, keys[unproven], side="right")
-        return picks
-
-    return search
-
-
-def _block_search(amplitudes: np.ndarray, draws: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``_proven_search`` from block sums of the squares.
-
-    The squares are summed in blocks of ``width``, a power of two near
-    sqrt(N/draws), and the block sums are run up into ``prefix``. For each
-    key the block holding ``target`` is found in ``prefix``, the running
-    sum is rebuilt inside that block only, and the candidate pick p is the
-    first index there whose sum exceeds ``target``; a p that would leave
-    the block is not proven. K counts N each for c_i and T, 2*width + blocks
-    for a rebuilt sum, width + blocks for ``total``, a few for the product,
-    the quotient and the band, and spare: K = 2N + 3*width + 2*blocks + 16.
-    """
-    n = amplitudes.size
-    width = 1 << min(max((n // draws).bit_length() // 2, 3), 8)
-    sums, tail = _block_squares(amplitudes, width)
-    if n % width:  # the ragged tail is one more, shorter, block
-        sums = np.append(sums, tail)
-    prefix = np.cumsum(sums)
-    before = np.concatenate(([0.0], prefix[:-1]))  # the sum ahead of each block
-    offsets = np.arange(width)
-
-    def candidates(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        block = np.searchsorted(prefix, target, side="right")
-        np.minimum(block, prefix.size - 1, out=block)
-        start = block * width
-        # running[k, r]: the sum up to index start + r - 1. Indices past N in
-        # a ragged last block repeat the last amplitude, so their sums are at
-        # least the one at N - 1. That one is within the error bound of
-        # total >= target, so never below the band: no pick past N - 1 is
-        # proven.
-        running = np.empty((target.size, width + 1))
-        running[:, 0] = before[block]
-        np.square(amplitudes.take(start[:, None] + offsets, mode="clip"), out=running[:, 1:])
-        np.cumsum(running, axis=1, out=running)
-        r = np.count_nonzero(running[:, 1:] <= target[:, None], axis=1)
-        rows = np.arange(target.size)
-        # r == width leaves the block; the sum at p is then the block's last
-        # one, which is <= target, so the key is not proven.
-        return start + r, running[rows, r], running[rows, np.minimum(r + 1, width)]
-
-    rounds = 2 * n + 3 * width + 2 * prefix.size + 16
-    return _proven_search(amplitudes, prefix[-1], rounds, candidates)
-
-
-def _run_table_search(
-    amplitudes: np.ndarray, rows: list, rounds: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``_proven_search`` from the rows of the runs of equal amplitude that
-    ``_run_search`` builds, laid end to end in one flat list, five numbers
-    for each run of nonzero square q and length L: ``before, q, L*q, L - 1``
-    and the run's first index; then a closing row.
-
-    ``before`` of each row is the running total ahead of its run, so
-    ``before`` of the next row is the sum up to the run's end: those sums
-    make ``prefix``. For each key the run holding ``target`` is found in
-    ``prefix``; the candidate offset is ``r = floor(min(target - before,
-    L*q) / q)``, at most L - 1 (the cap keeps the quotient near L when q is
-    subnormal), and the candidate's sums are ``before + r*q`` and that plus
-    q. K = ``rounds``.
-    """
-    table = np.array(rows, np.float64).reshape(-1, 5)
-    prefix = np.ascontiguousarray(table[1:, 0])
-
-    def candidates(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         run = prefix.searchsorted(target, side="right")
         before, q, run_sum, last, start = table.take(run, axis=0).T
         # target >= before, since the run was found as the first prefix above it.
@@ -593,9 +516,16 @@ def _run_table_search(
         picks = (start + r).astype(np.intp)
         r *= q
         before += r
-        return picks, before, before + q
+        proven = before < target * below - alpha
+        proven &= before + q > target * above + alpha
+        if np.count_nonzero(proven) < proven.size:  # faster than not proven.all()
+            unproven = np.flatnonzero(~proven)
+            if cdf is None:
+                cdf = _cdf(amplitudes)
+            picks[unproven] = np.searchsorted(cdf, keys[unproven], side="right")
+        return picks
 
-    return _proven_search(amplitudes, rows[-5], rounds, candidates)
+    return search
 
 
 def _run_search(
@@ -622,7 +552,7 @@ def _run_search(
     A filter settles most keys with one ``searchsorted``. Take a run of one
     index s with square q, and ``at = before + q``: the candidate sums of s
     in ``_run_table_search``. For a target t = key * ``total``,
-    ``_proven_search`` proves s exactly when ``before < t*below - alpha``
+    ``_run_table_search`` proves s exactly when ``before < t*below - alpha``
     and ``at > t*above + alpha``, each side two rounded operations. A
     correctly rounded product by a positive constant, or sum with a
     constant, never decreases as t grows, in gradual underflow too, where
@@ -730,8 +660,6 @@ def _draw_indices(state: StateVector, seed: int, out: array) -> None:
         search = _guide_table_search(_cdf(amplitudes))
     elif (runs := _class_runs(state)) is not None:
         search = _run_search(amplitudes, *runs)
-    elif draws * _BLOCK_RATIO <= n:
-        search = _block_search(amplitudes, draws)
     else:
         search = functools.partial(np.searchsorted, _cdf(amplitudes), side="right")
     rng = np.random.default_rng(seed)
@@ -751,8 +679,10 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> array:
     divided by its last value. The keys are drawn 2^14 at a time, which
     gives the same stream as one call, and each chunk's picks are written
     straight into the result, so no other array as long as the draws exists.
-    Each chunk is looked up by one of four means:
+    Each chunk is looked up by one of three means:
 
+    - at least N/16 draws: a guide table, O(N) to build
+      (``_guide_table_search``).
     - fewer than N/16 draws from the uniform start or a state that
       ``grover_iterate`` wrote from a broadcast, as every Grover state from
       the uniform start is, with at most ``_MAX_RUNS`` runs: the run sums,
@@ -760,17 +690,13 @@ def measure_sample(state: StateVector, seed: int, draws: int) -> array:
       pass over the vector (``_run_search``). One ``searchsorted`` over
       the target intervals that the error bound proves for the runs of one
       index settles a chunk whose keys all fall in them, as most chunks of
-      a Grover state near its optimal count do.
-    - any other vector with at most N/256 draws: block sums of the squares,
-      with the running sum rebuilt only in the blocks the keys hit
-      (``_block_search``).
-    - at least N/16 draws: a guide table, O(N) to build
-      (``_guide_table_search``).
-    - otherwise: each key is searched in the exact CDF.
+      a Grover state near its optimal count do. Any other key keeps its
+      pick from the run sums only where a rounding-error bound proves it
+      exact, and is searched in the exact CDF otherwise
+      (``_run_table_search``).
+    - any other vector: each key is searched in the exact CDF.
 
-    The first two keep a pick only where a rounding-error bound proves it
-    exact, and search any other key in the exact CDF (``_proven_search``),
-    so all four give exactly the picks of searching each key on its own.
+    So all three give exactly the picks of searching each key on its own.
 
     The draws are an ``array.array`` of C ``intp`` integers, not boxed ints.
     Like a list, two results compare with ``==`` as one bool (a list never

@@ -151,6 +151,7 @@ def closed_form(params: SearchParams, n: int, theta_mode: str = THETA_EXACT) -> 
     With the exact theta this reproduces the recursion at every n, including
     n = 0 where it gives the uniform start.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
     phi = (2 * n + 1) * rotation_angle(params, theta_mode)

@@ -35,8 +35,8 @@ GOLDEN = [
     ("search --log2-n 16 --draws 300 --seed 3", "17d1ffd5ba8cebf36bb062305ffc6b098e9940e79531772e5b2579b5f7d930b3"),
     # the guide table, over three chunks of keys, the last one ragged
     ("search --log2-n 12 --draws 40000 --seed 5", "f768a2e9c1b504dbcceb16991c34e54a34a03c0c305a107ee6cc904c84c881e9"),
-    # draws * 256 <= N, but a Grover state of two runs: the run path, not
-    # the block sums; recorded from the exact CDF search
+    # few draws (256 * 16 < N) from a Grover state of two runs: the run
+    # path; recorded from the exact CDF search
     ("search --log2-n 18 --draws 256 --seed 7", "52681288ac1f78cd4806b014c49542db055ecc395255b8f7c493e546ce764c99"),
     # n2 = N/4 and one iteration: the unmarked amplitude is exactly 0.0, so
     # its run is dropped and every draw is marked
@@ -46,7 +46,7 @@ GOLDEN = [
     # the size most benchmark operations search
     ("search --log2-n 14 --draws 256 --seed 3", "01bf05e8af7b33a8da6ee7db7339b9988648ac6d36860cdad4b6e051b2a85f31"),
     # the uniform start itself, sampled from its runs; both recorded from
-    # the block sums and the exact CDF search
+    # the exact CDF search
     ("search --log2-n 16 --iterations 0 --draws 256 --seed 3", "374e254bf81d5d27086f4e5d9dd39e49ca2cb68e615acc4d889545b1bbc45194"),
     ("search --log2-n 20 --marked-count 3 --iterations 0 --draws 256 --seed 3", "f8bd82ac50d3a255e4f674deea9d23ca362ff2dc4cf70d7fbbe40c8896e02364"),
 ]

@@ -627,13 +627,12 @@ CHUNK = statevector._KEY_CHUNK
 # Either side of the path choice: 18 * 16 < 300 searches each key, 19 takes the table.
 @example(state_seed=1, n=300, kind="random", sample_seed=2, draws=18)
 @example(state_seed=1, n=300, kind="random", sample_seed=2, draws=19)
-# 16 * 256 == 4096 takes the block sums, 17 draws search each key.
+# Few draws from vectors a caller built, a few runs of equal amplitude among
+# them: each key is searched in the exact CDF.
 @example(state_seed=7, n=4096, kind="random", sample_seed=8, draws=16)
 @example(state_seed=7, n=4096, kind="random", sample_seed=8, draws=17)
-# Block sums over an N that is no multiple of the block width (32 here).
 @example(state_seed=9, n=5000, kind="random", sample_seed=10, draws=3)
 @example(state_seed=9, n=5000, kind="with-zeros", sample_seed=10, draws=3)
-# A few runs of equal amplitude, built by a caller: the block sums.
 @example(state_seed=9, n=5000, kind="point-mass", sample_seed=10, draws=3)
 @example(state_seed=9, n=5000, kind="zero-runs", sample_seed=10, draws=3)
 # One chunk less one, exactly one chunk, and several with a ragged last chunk.
@@ -644,9 +643,9 @@ def test_measure_sample_matches_searching_each_draw_on_its_own(
     state_seed, n, kind, sample_seed, draws
 ):
     """The picks, in draw order, are those of searching every uniform key of
-    the seeded stream on its own, on the guide-table, plain and block-sum
-    paths, with exactly-zero amplitudes (tied CDF values), long zero runs
-    that put many CDF values in one bucket, and point masses."""
+    the seeded stream on its own, on the guide-table and plain paths, with
+    exactly-zero amplitudes (tied CDF values), long zero runs that put many
+    CDF values in one bucket, and point masses."""
     rng = np.random.default_rng(state_seed)
     if kind == "point-mass":
         amps = np.zeros(n)
@@ -670,9 +669,8 @@ def test_measure_sample_matches_searching_each_draw_on_its_own(
 
 
 def test_measure_sample_at_two_to_the_twenty_matches_the_plain_reference():
-    # 4000 * 256 <= 2**20, so this takes the block sums; their picks, and
-    # the in-place CDF of any key they cannot prove, must give the picks of
-    # the textbook two-buffer CDF.
+    # 4000 * 16 < 2**20 and random amplitudes: each key is searched in the
+    # in-place CDF, which must give the picks of the textbook two-buffer CDF.
     n = 2**20
     rng = np.random.default_rng(11)
     amps = rng.standard_normal(n)
@@ -776,43 +774,6 @@ def _adversarial_states(n):
     underflow[[2 * n // 3, n - 5]] = (0.6, -0.8)
     states = {"uniform": uniform, "grover": grover, "zero-runs": zero_runs, "underflow": underflow}
     return {kind: amps / sqrt(fsum((amps * amps).tolist())) for kind, amps in states.items()}
-
-
-@pytest.mark.parametrize("n", [1000, 3001])  # block widths 32 and 64, ragged tails
-@pytest.mark.parametrize("kind", ["uniform", "grover", "zero-runs", "underflow"])
-def test_block_search_matches_the_exact_search_on_keys_at_the_cdf_values(monkeypatch, n, kind):
-    """Keys equal to CDF values, one step either side of them, 0.0 and the
-    largest double below 1.0 lie inside the error band, so each must go to
-    the exact CDF and get its pick there. Keys halfway between CDF values
-    that differ enough are settled by the block sums alone."""
-    amps = _adversarial_states(n)[kind]
-    cdf = np.cumsum(amps * amps)
-    cdf /= cdf[-1]
-    # Both sides of the first block edges, the middle, and the ragged tail.
-    at = np.unique(np.r_[0, 1, 31, 32, 33, 63, 64, 65, n // 2, n - 70 : n - 1])
-    edges = np.r_[cdf[at], np.nextafter(cdf[at], 0.0), np.nextafter(cdf[at], 1.0), 0.0]
-    edges = np.r_[edges[edges < 1.0], np.nextafter(1.0, 0.0)]
-    gaps = (cdf[at] + cdf[at + 1]) / 2
-    keys = np.r_[edges, gaps]
-
-    def reference(k):
-        return [int(np.searchsorted(cdf, key, side="right")) for key in k]
-
-    builds, exact_cdf = [], statevector._cdf
-    monkeypatch.setattr(statevector, "_cdf", lambda a: builds.append(1) or exact_cdf(a))
-    # All the keys in one call, proven and unproven ones mixed.
-    assert statevector._block_search(amps, 1)(keys).tolist() == reference(keys)
-    assert len(builds) == 1
-    # Key by key, counting the keys that needed the exact CDF.
-    fell_back = []
-    for key in keys:
-        builds.clear()
-        assert statevector._block_search(amps, 1)(np.array([key])).tolist() == reference([key])
-        fell_back.append(bool(builds))
-    at_edges, in_gaps = np.split(np.array(fell_back), [edges.size])
-    assert at_edges.all()
-    wide = np.diff(cdf)[at] > 1e-6
-    assert wide.any() and not in_gaps[wide].any()
 
 
 @pytest.mark.parametrize("n", [1000, 3001, 2**16])
@@ -1102,7 +1063,7 @@ def test_a_copy_of_a_grover_state_samples_the_same_picks_from_its_amplitudes(
     copy = StateVector(np.array(state.amplitudes), marked)
     assert statevector._class_runs(state) is not None
     assert statevector._class_runs(copy) is None
-    for draws in (3, 100):  # the block sums, then a search of each key in the CDF
+    for draws in (3, 100):  # the copy searches each key in the CDF
         picks = measure_sample(state, 17, draws)
         monkeypatch.setattr(statevector, "_run_search", None)  # a call would raise
         monkeypatch.setattr(statevector, "_run_table_search", None)
@@ -1131,9 +1092,14 @@ def test_a_state_whose_amplitudes_are_replaced_drops_its_runs():
 
 @pytest.mark.parametrize("n", [1, 2, 17, 255, 256, 257, 1000])
 def test_sum_of_squares_is_the_blocked_sum_at_every_length(n):
-    # Below one block the sum is one einsum, the float that 0.0 + tail gave.
+    # The pairwise sum of the block sums plus the ragged tail's sum; below
+    # one block that is one einsum, the float that 0.0 + tail gives.
     x = np.random.default_rng(n).standard_normal(n)
-    sums, tail = statevector._block_squares(x, statevector._SQUARES_BLOCK)
+    width = statevector._SQUARES_BLOCK
+    cut = n - n % width
+    blocks = [x[i : i + width] for i in range(0, cut, width)]
+    sums = np.array([np.einsum("i,i->", block, block) for block in blocks])
+    tail = np.einsum("i,i->", x[cut:], x[cut:])
     assert statevector._sum_of_squares(x) == float(sums.sum() + tail)
 
 
@@ -1165,30 +1131,38 @@ def test_measure_sample_peak_memory_beside_the_picks_is_bounded(marked):
 @pytest.mark.parametrize(
     "kind, draws, path",
     [
-        ("random", 8, "block-sums"),
+        ("random", 8, "plain-cdf"),
         ("random", 100, "plain-cdf"),
         ("grover", 1000, "guide-table"),
         ("grover", 8, "runs"),
         ("grover", 100, "runs"),
+        ("grover-many-runs", 8, "plain-cdf"),
     ],
-    ids=["block-sums", "plain-cdf", "guide-table", "grover-runs-8", "grover-runs-100"],
+    ids=[
+        "plain-cdf-8",
+        "plain-cdf",
+        "guide-table",
+        "grover-runs-8",
+        "grover-runs-100",
+        "grover-many-runs",
+    ],
 )
 def test_measure_sample_returns_machine_ints_filled_in_place(monkeypatch, kind, draws, path):
     # At N = 2**12: 1000 * 16 >= N takes the guide table. Below that a
-    # Grover state of at most 11 runs takes the run path, and random amplitudes the
-    # block sums (8 * 256 <= N) or a search of each key in the CDF.
+    # Grover state of at most _MAX_RUNS runs takes the run path, and random
+    # amplitudes or a Grover state of more runs a search of each key in the CDF.
     n = 2**12
     if kind == "grover":
         state = grover_iterate(init_uniform(SearchParams(n - 5, 5), [3, 70, 1000, 2048, 4095]), 4)
+    elif kind == "grover-many-runs":  # 512 isolated marked states: 1025 runs
+        marked = range(1, n, 8)
+        state = grover_iterate(init_uniform(SearchParams(n - len(marked), len(marked)), marked), 4)
+        assert 2 * len(marked) + 1 > statevector._MAX_RUNS
     else:
         amps = np.random.default_rng(draws).standard_normal(n)
         state = StateVector(amps / sqrt(fsum((amps * amps).tolist())), [3])
     taken = []
-    for name, builder in [
-        ("runs", "_class_runs"),
-        ("block-sums", "_block_search"),
-        ("guide-table", "_guide_table_search"),
-    ]:
+    for name, builder in [("runs", "_class_runs"), ("guide-table", "_guide_table_search")]:
         def spy(*args, name=name, build=getattr(statevector, builder)):
             search = build(*args)
             if search is not None:
@@ -1228,7 +1202,7 @@ def test_uniform_start_gives_the_results_of_the_materialized_start(log2_n, share
         assert kernel(start).amplitudes.tobytes() == kernel(reference).amplitudes.tobytes()
     assert marked_probability(start) == marked_probability(reference)
     # From 2^12 up: the start's runs (where it has at most _MAX_RUNS) against
-    # the reference's block sums and search of each key, then the guide table.
+    # the reference's search of each key in the CDF, then the guide table.
     for draws in (max(n // ratio, 1) for ratio in (512, 64, 8)):
         assert measure_sample(start, 11, draws) == measure_sample(reference, 11, draws)
 

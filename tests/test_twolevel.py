@@ -1,6 +1,7 @@
 """Two-amplitude model: iteration matrix, spectral form, closed forms."""
 
 import math
+from dataclasses import astuple
 from math import sqrt
 
 import numpy as np
@@ -10,12 +11,16 @@ from hypothesis import example, given, strategies as st
 from groversim import (
     RegimeWarning,
     SearchParams,
+    StateVector,
     THETA_APPROX,
     THETA_EXACT,
     TwoLevelState,
     build_matrix,
     closed_form,
+    closed_form_velocities,
     detect_regime,
+    grover_iterate,
+    init_uniform,
     matrix_power,
     optimal_iterations,
     recursion_coefficients,
@@ -200,6 +205,30 @@ def test_matrix_power_one_matches_matrix():
 def test_matrix_power_rejects_negative():
     with pytest.raises(ValueError):
         matrix_power(SearchParams(3, 1), -1)
+
+
+@pytest.mark.parametrize("count", [2.0, 2.5, np.int64(2)], ids=["2.0", "2.5", "int64"])
+@pytest.mark.parametrize(
+    "engine",
+    ["closed_form", "success_probability", "velocities", "iterate-uniform", "iterate-vector"],
+)
+def test_iteration_counts_are_integers(engine, count):
+    # A count that is not an integer lies on no trajectory, so every engine
+    # refuses it as matrix_power does; an integer of another type gives the
+    # result of the int, bit for bit.
+    params = SearchParams(15, 1)
+    run = {
+        "closed_form": lambda n: astuple(closed_form(params, n)),
+        "success_probability": lambda n: success_probability(params, n),
+        "velocities": lambda n: closed_form_velocities(params, 1.5, n),
+        "iterate-uniform": lambda n: grover_iterate(init_uniform(params, [3]), n).amplitudes,
+        "iterate-vector": lambda n: grover_iterate(StateVector(np.full(16, 0.25), [3]), n).amplitudes,
+    }[engine]
+    if isinstance(count, float):
+        with pytest.raises(TypeError):
+            run(count)
+    else:
+        assert np.asarray(run(count)).tobytes() == np.asarray(run(2)).tobytes()
 
 
 def test_matrix_power_three_matches_repeated_multiplication_n16():
